@@ -23,7 +23,8 @@ struct IntersectionGraph {
   [[nodiscard]] bool adjacent(std::int32_t a, std::int32_t b) const;
 };
 
-/// Builds the WIG with the O(depth) tree-aware overlap test.
+/// Builds the WIG with the tree-aware overlap test: an O(1) ancestor
+/// check plus one allocation-free greedy decomposition per pair.
 [[nodiscard]] IntersectionGraph build_intersection_graph(
     const ScheduleTree& tree, const std::vector<BufferLifetime>& lifetimes);
 

@@ -131,12 +131,13 @@ bool lifetimes_overlap(const ScheduleTree& tree, const BufferLifetime& a,
     return false;  // disjoint subtrees execute at disjoint times
   }
   // Translation symmetry across the loops enclosing hi->lca: comparing
-  // against hi's first burst decides for all bursts.
+  // against hi's first burst [s, s+d) decides for all bursts. A burst of
+  // lo meets it iff that burst starts in (s - dur(lo), s + d), so one
+  // greedy decomposition settles the pair.
   const std::int64_t s = hi->interval.first_start();
-  const std::int64_t d = hi->interval.burst_duration();
-  if (lo->interval.live_at(s)) return true;
-  const auto next = lo->interval.next_start_at_or_after(s);
-  return next.has_value() && *next < s + d;
+  const auto next = lo->interval.next_start_at_or_after(
+      s - lo->interval.burst_duration() + 1);
+  return next.has_value() && *next < s + hi->interval.burst_duration();
 }
 
 }  // namespace sdf

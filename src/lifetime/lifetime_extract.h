@@ -35,10 +35,11 @@ struct BufferLifetime {
 [[nodiscard]] std::vector<BufferLifetime> extract_lifetimes(
     const Graph& g, const Repetitions& q, const ScheduleTree& tree);
 
-/// Schedule-tree-aware overlap test, O(tree depth): two buffers whose least
-/// parents live in disjoint subtrees can never be simultaneously live;
-/// otherwise a single first-window comparison decides (translation symmetry
-/// across the common enclosing loops).
+/// Schedule-tree-aware overlap test, O(loop components) and allocation
+/// free: two buffers whose least parents live in disjoint subtrees (an
+/// O(1) preorder-range test) can never be simultaneously live; otherwise
+/// a single first-window comparison decides (translation symmetry across
+/// the common enclosing loops).
 [[nodiscard]] bool lifetimes_overlap(const ScheduleTree& tree,
                                      const BufferLifetime& a,
                                      const BufferLifetime& b);

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/status.h"
+
 namespace sdf {
 
 PeriodicInterval::PeriodicInterval(std::int64_t start, std::int64_t dur,
@@ -30,23 +32,36 @@ PeriodicInterval::PeriodicInterval(std::int64_t start, std::int64_t dur,
       throw std::invalid_argument(
           "PeriodicInterval: mixed-radix property violated");
     }
-    below += (cnt - 1) * a;
+    std::int64_t span = 0;
+    if (__builtin_mul_overflow(cnt - 1, a, &span) ||
+        __builtin_add_overflow(below, span, &below)) {
+      throw ArithmeticOverflowError("PeriodicInterval: span overflow");
+    }
     periods_.push_back(a);
     counts_.push_back(cnt);
   }
 }
 
 std::int64_t PeriodicInterval::last_stop() const {
-  std::int64_t s = start_;
+  std::int64_t span = 0;  // fits: the constructor checked the same sum
   for (std::size_t i = 0; i < periods_.size(); ++i) {
-    s += (counts_[i] - 1) * periods_[i];
+    span += (counts_[i] - 1) * periods_[i];
   }
-  return s + dur_;
+  std::int64_t s = 0;
+  if (__builtin_add_overflow(start_, span, &s) ||
+      __builtin_add_overflow(s, dur_, &s)) {
+    throw ArithmeticOverflowError("PeriodicInterval: last_stop overflow");
+  }
+  return s;
 }
 
 std::int64_t PeriodicInterval::occurrences() const {
   std::int64_t n = 1;
-  for (std::int64_t c : counts_) n *= c;
+  for (std::int64_t c : counts_) {
+    if (__builtin_mul_overflow(n, c, &n)) {
+      throw ArithmeticOverflowError("PeriodicInterval: occurrences overflow");
+    }
+  }
   return n;
 }
 
@@ -63,27 +78,20 @@ bool PeriodicInterval::live_at(std::int64_t t) const {
 std::optional<std::int64_t> PeriodicInterval::next_start_at_or_after(
     std::int64_t t) const {
   if (t <= start_) return start_;
+  // One top-down greedy pass finds the last burst starting at or before t
+  // (offset `at`) and, in `next`, its successor: the mixed-radix counter
+  // incremented at the lowest digit that still has room, lower digits 0.
   std::int64_t rem = t - start_;
-  std::vector<std::int64_t> k(periods_.size(), 0);
+  std::int64_t at = 0;
+  std::optional<std::int64_t> next;
   for (std::size_t i = periods_.size(); i-- > 0;) {
-    k[i] = std::min(rem / periods_[i], counts_[i] - 1);
-    rem -= k[i] * periods_[i];
+    const std::int64_t k = std::min(rem / periods_[i], counts_[i] - 1);
+    if (k + 1 < counts_[i]) next = start_ + at + (k + 1) * periods_[i];
+    at += k * periods_[i];
+    rem -= k * periods_[i];
   }
-  if (rem > 0) {
-    // The greedy burst starts before t: advance the mixed-radix counter.
-    std::size_t i = 0;
-    for (; i < k.size(); ++i) {
-      if (k[i] + 1 < counts_[i]) {
-        ++k[i];
-        for (std::size_t j = 0; j < i; ++j) k[j] = 0;
-        break;
-      }
-    }
-    if (i == k.size()) return std::nullopt;  // already past the last burst
-  }
-  std::int64_t s = start_;
-  for (std::size_t i = 0; i < k.size(); ++i) s += k[i] * periods_[i];
-  return s;
+  if (rem == 0) return start_ + at;  // a burst starts exactly at t
+  return next;                        // nullopt: past the last burst
 }
 
 bool PeriodicInterval::overlaps(const PeriodicInterval& other) const {

@@ -33,7 +33,8 @@ class PeriodicInterval {
 
   [[nodiscard]] std::int64_t first_start() const { return start_; }
   [[nodiscard]] std::int64_t burst_duration() const { return dur_; }
-  /// End (exclusive) of the final burst.
+  /// End (exclusive) of the final burst. last_stop() and occurrences()
+  /// throw ArithmeticOverflowError when the value overflows int64.
   [[nodiscard]] std::int64_t last_stop() const;
   /// Number of bursts (product of counts).
   [[nodiscard]] std::int64_t occurrences() const;
@@ -49,14 +50,14 @@ class PeriodicInterval {
   [[nodiscard]] bool live_at(std::int64_t t) const;
 
   /// Start of the first burst beginning at or after `t`;
-  /// nullopt when no further burst exists.
+  /// nullopt when no further burst exists. One greedy pass, no allocation.
   [[nodiscard]] std::optional<std::int64_t> next_start_at_or_after(
       std::int64_t t) const;
 
   /// Exact overlap test. Cost O(min(bursts) * components) worst case via a
   /// two-pointer walk, but terminates as soon as an overlap is found; the
-  /// schedule-tree-aware test in lifetime_extract.h is O(depth) and should
-  /// be preferred for same-tree buffers.
+  /// schedule-tree-aware test in lifetime_extract.h is O(components) and
+  /// should be preferred for same-tree buffers.
   [[nodiscard]] bool overlaps(const PeriodicInterval& other) const;
 
   friend bool operator==(const PeriodicInterval&,

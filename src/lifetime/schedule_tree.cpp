@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/status.h"
+
 namespace sdf {
 
 ScheduleTree::ScheduleTree(const Graph& g, const Schedule& s) {
@@ -69,61 +71,51 @@ TreeNodeId ScheduleTree::build(const Graph& g, const Schedule& s,
 }
 
 void ScheduleTree::compute_times() {
-  // Bottom-up durations (children are created after parents, so reverse
-  // index order is a valid post-order).
+  // Bottom-up durations and subtree id ranges (children are created after
+  // parents, so reverse index order is a valid post-order).
   for (std::size_t i = nodes_.size(); i-- > 0;) {
     TreeNode& n = nodes_[i];
-    if (n.is_leaf()) {
-      n.dur = 1;
-    } else {
-      n.dur = n.loop * (nodes_[static_cast<std::size_t>(n.left)].dur +
-                        nodes_[static_cast<std::size_t>(n.right)].dur);
+    n.last = static_cast<TreeNodeId>(i);
+    if (n.is_leaf()) continue;  // dur(leaf) = 1
+    const TreeNode& r = nodes_[static_cast<std::size_t>(n.right)];
+    n.last = r.last;
+    if (__builtin_add_overflow(nodes_[static_cast<std::size_t>(n.left)].dur,
+                               r.dur, &n.dur) ||
+        __builtin_mul_overflow(n.loop, n.dur, &n.dur)) {
+      throw ArithmeticOverflowError("ScheduleTree: duration overflow");
     }
   }
   // Top-down starts (parents precede children in index order).
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    TreeNode& n = nodes_[i];
-    if (n.parent == kNoTreeNode) n.start = 0;
-    n.stop = n.start + n.dur;
-    if (!n.is_leaf()) {
-      auto& l = nodes_[static_cast<std::size_t>(n.left)];
-      auto& r = nodes_[static_cast<std::size_t>(n.right)];
-      l.start = n.start;
-      r.start = n.start + l.dur;
+  for (TreeNode& n : nodes_) {
+    if (__builtin_add_overflow(n.start, n.dur, &n.stop)) {
+      throw ArithmeticOverflowError("ScheduleTree: stop time overflow");
+    }
+    if (n.is_leaf()) continue;
+    auto& l = nodes_[static_cast<std::size_t>(n.left)];
+    auto& r = nodes_[static_cast<std::size_t>(n.right)];
+    l.start = n.start;
+    if (__builtin_add_overflow(n.start, l.dur, &r.start)) {
+      throw ArithmeticOverflowError("ScheduleTree: start time overflow");
     }
   }
 }
 
 TreeNodeId ScheduleTree::least_common_parent(TreeNodeId a,
                                              TreeNodeId b) const {
-  while (a != b) {
-    const auto& na = nodes_[static_cast<std::size_t>(a)];
-    const auto& nb = nodes_[static_cast<std::size_t>(b)];
-    if (na.depth >= nb.depth) {
-      a = na.parent;
-    } else {
-      b = nb.parent;
-    }
-    if (a == kNoTreeNode || b == kNoTreeNode) {
-      throw std::logic_error("least_common_parent: disjoint trees");
-    }
+  while (!is_ancestor_or_self(a, b)) {
+    a = nodes_[static_cast<std::size_t>(a)].parent;
   }
   return a;
 }
 
-bool ScheduleTree::is_ancestor_or_self(TreeNodeId anc, TreeNodeId node) const {
-  while (node != kNoTreeNode) {
-    if (node == anc) return true;
-    node = nodes_[static_cast<std::size_t>(node)].parent;
-  }
-  return false;
-}
-
 std::int64_t ScheduleTree::iterations_of(TreeNodeId v) const {
   std::int64_t product = 1;
-  while (v != kNoTreeNode) {
-    product *= nodes_[static_cast<std::size_t>(v)].loop;
-    v = nodes_[static_cast<std::size_t>(v)].parent;
+  for (; v != kNoTreeNode; v = nodes_[static_cast<std::size_t>(v)].parent) {
+    if (__builtin_mul_overflow(product,
+                               nodes_[static_cast<std::size_t>(v)].loop,
+                               &product)) {
+      throw ArithmeticOverflowError("ScheduleTree: iteration count overflow");
+    }
   }
   return product;
 }

@@ -5,6 +5,15 @@
 // factor) is one schedule step. The tree computes, per node,
 //   dur(v)  = loop(v) * (dur(left) + dur(right)),   dur(leaf) = 1
 //   start/stop of the node's FIRST loop iteration span.
+//
+// Node ids are assigned in preorder: a node's id precedes every id in its
+// subtree, and the subtree occupies the contiguous id range [id, last],
+// left subtree first. `last` of a leaf is its own id; `last` of an
+// internal node is its right child's `last`. Hence `anc` is an ancestor of
+// (or equal to) `v` exactly when anc <= v <= last(anc), an O(1) test.
+//
+// All time arithmetic is checked: a schedule whose durations overflow
+// int64 throws ArithmeticOverflowError (kOverflow).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +38,7 @@ struct TreeNode {
   std::int64_t start = 0;  ///< absolute start of first execution
   std::int64_t stop = 0;   ///< start + dur
   std::int32_t depth = 0;  ///< root = 0
+  TreeNodeId last = 0;     ///< largest (preorder) id in this subtree
 
   [[nodiscard]] bool is_leaf() const { return left == kNoTreeNode; }
 };
@@ -56,9 +66,13 @@ class ScheduleTree {
   [[nodiscard]] TreeNodeId least_common_parent(TreeNodeId a,
                                                TreeNodeId b) const;
 
-  /// True when `anc` is `node` or an ancestor of `node`.
+  /// True when `anc` is `node` or an ancestor of `node`. O(1) via the
+  /// preorder id range [anc, last(anc)].
   [[nodiscard]] bool is_ancestor_or_self(TreeNodeId anc,
-                                         TreeNodeId node) const;
+                                         TreeNodeId node) const {
+    return anc <= node &&
+           node <= nodes_[static_cast<std::size_t>(anc)].last;
+  }
 
   /// Total schedule duration in steps (= dur(root)).
   [[nodiscard]] std::int64_t total_duration() const {
@@ -66,7 +80,8 @@ class ScheduleTree {
   }
 
   /// Product of loop factors of `v` and all its ancestors: the number of
-  /// times v's body span executes per schedule period.
+  /// times v's body span executes per schedule period. Throws
+  /// ArithmeticOverflowError when the product overflows int64.
   [[nodiscard]] std::int64_t iterations_of(TreeNodeId v) const;
 
  private:

@@ -136,7 +136,11 @@ CompileResult compile_with_order(const Graph& g,
   const obs::Span span("pipeline.compile");
   CompileResult result;
   result.q = repetitions_vector(g);
-  for (auto& reps : result.q) reps *= options.blocking_factor;
+  for (auto& reps : result.q) {
+    if (__builtin_mul_overflow(reps, options.blocking_factor, &reps)) {
+      throw ArithmeticOverflowError("compile: blocked repetitions overflow");
+    }
+  }
   result.lexorder = order;
 
   {

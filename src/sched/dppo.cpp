@@ -8,11 +8,16 @@
 
 #include "obs/counters.h"
 #include "pipeline/governor.h"
+#include "sched/sdppo.h"
 #include "sdf/analysis.h"
 #include "util/status.h"
 
 namespace sdf {
 namespace {
+
+// The DP tables' "no split yet" value. SplitCosts rejects orders whose
+// total split weight reaches it, so every real cost stays below it.
+constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
 // Fills `out` (a flat (n+1) x (n+1) row-major square) with 2D prefix sums
 // of weight(e): out[a*(n+1)+b] = sum over edges with pos(src) <= a-1 and
@@ -36,7 +41,9 @@ void build_prefix(const Graph& g, const std::vector<ActorId>& order,
     std::int64_t* row = out.data() + a * stride;
     const std::int64_t* above = row - stride;
     for (std::size_t b = 1; b <= n; ++b) {
-      row[b] += above[b] + row[b - 1] - above[b - 1];
+      // Each partial sum is at most the final value, so no step can
+      // overflow once the total weight fits (checked by SplitCosts).
+      row[b] += (above[b] - above[b - 1]) + row[b - 1];
     }
   }
 }
@@ -66,6 +73,18 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
     pos[static_cast<std::size_t>(order[i])] = static_cast<std::int32_t>(i);
   }
 
+  // Every prefix sum, split cost and DP table value is at most the total
+  // weight (each edge counts once), so one check covers them all.
+  std::int64_t total = 0;
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    if (__builtin_add_overflow(total, tnse(g, q, static_cast<EdgeId>(e)),
+                               &total) ||
+        __builtin_add_overflow(total, g.edge(static_cast<EdgeId>(e)).delay,
+                               &total) ||
+        total >= kInf) {
+      throw ArithmeticOverflowError("SplitCosts: total split weight overflow");
+    }
+  }
   build_prefix(g, order, pos.data(), tnse_prefix_,
                [&](EdgeId e) { return tnse(g, q, e); });
   build_prefix(g, order, pos.data(), delay_prefix_,
@@ -113,11 +132,21 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
   }
 }
 
-DppoResult dppo(const Graph& g, const Repetitions& q,
-                const std::vector<ActorId>& order, util::Arena* arena,
-                const SplitCosts* shared_costs) {
+// The one interval-DP kernel behind dppo()/dppo_cost() (EQ 2, kShared =
+// false) and sdppo()/sdppo_estimate() (EQ 5, kShared = true): a j-outer
+// table fill over fused column-minus-diagonal scratch (docs/ARCHITECTURE.md,
+// "DP memory model"). Returns the optimal cost. With kRecord it also
+// records each cell's split into `splits` and rebuilds `schedule` from
+// them; without, both are unused.
+template <bool kShared, bool kRecord>
+std::int64_t interval_dp(const Graph& g, const Repetitions& q,
+                         const std::vector<ActorId>& order,
+                         util::Arena* arena, const SplitCosts* shared_costs,
+                         SplitTable* splits, Schedule* schedule) {
+  const char* const site = kShared ? "sched.sdppo" : "sched.dppo";
   if (!is_topological_order(g, order)) {
-    throw BadOrderError("dppo: order is not a topological order");
+    throw BadOrderError(kShared ? "sdppo: order is not a topological order"
+                                : "dppo: order is not a topological order");
   }
   const std::size_t n = order.size();
 
@@ -125,7 +154,7 @@ DppoResult dppo(const Graph& g, const Repetitions& q,
   // chunk acquisition is charged against the governor's dp_mem budget (and
   // is the "dp_mem" fault point); each cell is a cooperative deadline
   // checkpoint (see pipeline/governor.h and util/arena.h).
-  util::Arena local_arena("sched.dppo");
+  util::Arena local_arena(site);
   util::Arena& a = arena != nullptr ? *arena : local_arena;
   const util::Arena::Scope dp_scope(a);
 
@@ -135,81 +164,11 @@ DppoResult dppo(const Graph& g, const Repetitions& q,
   }
   const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
 
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
   // Structure-of-arrays triangles: the cost table is mirrored row-major
   // (b_row) and column-major (b_col) so the k-loop streams both b[i][k]
-  // and b[k+1][j] contiguously; splits are a separate flat array.
-  const std::size_t cells_total = tri_cells(n);
-  std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
-  std::int64_t* b_col = a.alloc_array<std::int64_t>(cells_total);
-  std::uint32_t* split = a.alloc_array<std::uint32_t>(cells_total);
-  std::fill_n(b_row, cells_total, 0);
-  std::fill_n(b_col, cells_total, 0);
-  std::fill_n(split, cells_total, 0);
-
-  std::int64_t cells = 0;
-  std::int64_t split_candidates = 0;
-  for (std::size_t len = 2; len <= n; ++len) {
-    for (std::size_t i = 0; i + len <= n; ++i) {
-      const std::size_t j = i + len - 1;
-      governor_checkpoint("sched.dppo");
-      const SplitCosts::Slice sc = costs.slice(i, j);
-      const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      const std::int64_t* col_j = b_col + tri_col_at(0, j);     // b[k+1][j]
-      std::int64_t best = kInf;
-      std::size_t best_k = i;
-      for (std::size_t k = i; k < j; ++k) {
-        const std::int64_t total = row_i[k] + col_j[k + 1] + sc.cost(k);
-        if (total < best) {
-          best = total;
-          best_k = k;
-        }
-      }
-      b_row[tri_at(n, i, j)] = best;
-      b_col[tri_col_at(i, j)] = best;
-      split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(len) - 1;
-    }
-  }
-  obs::count("sched.dppo.cells", cells);
-  obs::count("sched.dppo.splits", split_candidates);
-
-  DppoResult result;
-  result.cost = n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
-  result.splits.at.assign(n, std::vector<std::size_t>(n, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      result.splits.at[i][j] = split[tri_at(n, i, j)];
-    }
-  }
-  result.schedule = schedule_from_splits(g, q, order, result.splits);
-  return result;
-}
-
-std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
-                       const std::vector<ActorId>& order, util::Arena* arena,
-                       const SplitCosts* shared_costs) {
-  if (!is_topological_order(g, order)) {
-    throw BadOrderError("dppo: order is not a topological order");
-  }
-  const std::size_t n = order.size();
-
-  util::Arena local_arena("sched.dppo");
-  util::Arena& a = arena != nullptr ? *arena : local_arena;
-  const util::Arena::Scope dp_scope(a);
-
-  std::optional<SplitCosts> own_costs;
-  if (shared_costs == nullptr || shared_costs->size() != n) {
-    own_costs.emplace(g, q, order, &a);
-  }
-  const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
-
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  // The same mirrored triangles as dppo(), minus the split array — the
-  // backtracking state exists only to build a schedule. Only the diagonal
-  // needs initializing: interval-DP fill order writes every longer range
-  // before any cell reads it.
+  // and b[k+1][j] contiguously. Only the diagonal needs initializing: the
+  // fill writes every longer range before any cell reads it. The split
+  // array exists only when a schedule is wanted.
   const std::size_t stride = n + 1;
   const std::size_t cells_total = tri_cells(n);
   std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
@@ -221,12 +180,50 @@ std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
   std::int64_t* fw = a.alloc_array<std::int64_t>(stride);
   std::int64_t* ft = a.alloc_array<std::int64_t>(stride);
   std::int64_t* fd = a.alloc_array<std::int64_t>(stride);
+  std::uint32_t* split =
+      kRecord ? a.alloc_array<std::uint32_t>(cells_total) : nullptr;
+
+  // Minimizes total(k) over the splits k of cell (i, j) and, with kRecord,
+  // records the winner: the first minimum, except that EQ 5 breaks ties
+  // toward fewer crossing edges (they leave the halves fully overlayable
+  // and avoid needless factoring). Edge counts are read only at ties —
+  // the first minimum's lazily at its first tie.
+  auto fill_cell = [&](std::size_t i, std::size_t j, auto&& total) {
+    std::int64_t best = kInf;
+    if constexpr (!kRecord) {
+      for (std::size_t k = i; k < j; ++k) best = std::min(best, total(k));
+    } else {
+      std::size_t best_k = i;
+      std::int64_t best_edges = -1;  // unknown until the first tie
+      for (std::size_t k = i; k < j; ++k) {
+        const std::int64_t t = total(k);
+        if (t < best) {
+          best = t;
+          best_k = k;
+          best_edges = -1;
+        } else if (kShared && t == best) {
+          if (best_edges < 0) best_edges = costs.edge_count(i, best_k, j);
+          const std::int64_t edges = costs.edge_count(i, k, j);
+          if (edges < best_edges) {
+            best_edges = edges;
+            best_k = k;
+          }
+        }
+      }
+      split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
+    }
+    return best;
+  };
+  // EQ 2 sums the halves' buffers; EQ 5 overlays them, so only the larger
+  // half counts. Crossing buffers stay live across both either way.
+  auto combine = [](std::int64_t left, std::int64_t right) {
+    return kShared ? std::max(left, right) : left + right;
+  };
 
   // j-outer fill with per-column fused (column - diagonal) scratch: the
   // common gcd == 1 k-loop then makes three streaming loads per split.
   // Same per-(i,k,j) integer arithmetic as slice() — identical results,
-  // identical checkpoint and telemetry counts; only the cell visit order
-  // and memory traffic change.
+  // identical checkpoint and telemetry counts.
   std::int64_t cells = 0;
   std::int64_t split_candidates = 0;
   for (std::size_t j = 1; j < n; ++j) {
@@ -247,18 +244,19 @@ std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
     }
     const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
     for (std::size_t i = j; i-- > 0;) {
-      governor_checkpoint("sched.dppo");
+      governor_checkpoint(site);
+      ++cells;
+      split_candidates += static_cast<std::int64_t>(j - i);
       const std::int64_t gcd_ij = costs.gij(i, j);
       const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      std::int64_t best = kInf;
+      std::int64_t best;
       if (gcd_ij == 1) {
         const std::int64_t* w_row = costs.wsum_prefix_.data() + i * stride;
         const std::int64_t w_base = w_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
-          const std::int64_t total = row_i[k] + col_j[k + 1] + fw[k + 1] -
-                                     w_base + w_row[k + 1];
-          best = std::min(best, total);
-        }
+        best = fill_cell(i, j, [&](std::size_t k) {
+          return combine(row_i[k], col_j[k + 1]) + fw[k + 1] - w_base +
+                 w_row[k + 1];
+        });
       } else {
         const std::uint64_t inv = costs.gcd_inv_[tri_at(n, i, j)];
         const auto div = static_cast<std::uint64_t>(gcd_ij);
@@ -266,27 +264,75 @@ std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
         const std::int64_t* d_row = costs.delay_prefix_.data() + i * stride;
         const std::int64_t t_base = t_row[j + 1];
         const std::int64_t d_base = d_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
+        best = fill_cell(i, j, [&](std::size_t k) {
           const auto t = static_cast<std::uint64_t>(ft[k + 1] - t_base +
                                                     t_row[k + 1]);
           const std::int64_t d = fd[k + 1] - d_base + d_row[k + 1];
           auto quot = static_cast<std::uint64_t>(
               (static_cast<unsigned __int128>(inv) * t) >> 64);
           if (t - quot * div >= div) ++quot;
-          const std::int64_t total = row_i[k] + col_j[k + 1] +
-                                     static_cast<std::int64_t>(quot) + d;
-          best = std::min(best, total);
-        }
+          return combine(row_i[k], col_j[k + 1]) +
+                 static_cast<std::int64_t>(quot) + d;
+        });
       }
       b_row[tri_at(n, i, j)] = best;
       b_col[tri_col_at(i, j)] = best;
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(j - i);
     }
   }
-  obs::count("sched.dppo.cells", cells);
-  obs::count("sched.dppo.splits", split_candidates);
-  return n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
+  obs::count(kShared ? "sched.sdppo.cells" : "sched.dppo.cells", cells);
+  obs::count(kShared ? "sched.sdppo.splits" : "sched.dppo.splits",
+             split_candidates);
+  const std::int64_t cost = n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
+  if constexpr (kRecord) {
+    splits->at.assign(n, std::vector<std::size_t>(n, 0));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        splits->at[i][j] = split[tri_at(n, i, j)];
+      }
+    }
+    FactorPredicate factor;
+    if (kShared) {
+      // Sec. 5.1 heuristic: factor only when the split has internal edges.
+      factor = [&](std::size_t i, std::size_t k, std::size_t j) {
+        return costs.edge_count(i, k, j) > 0;
+      };
+    }
+    *schedule = schedule_from_splits(g, q, order, *splits, factor);
+  }
+  return cost;
+}
+
+DppoResult dppo(const Graph& g, const Repetitions& q,
+                const std::vector<ActorId>& order, util::Arena* arena,
+                const SplitCosts* shared_costs) {
+  DppoResult result;
+  result.cost = interval_dp<false, true>(g, q, order, arena, shared_costs,
+                                         &result.splits, &result.schedule);
+  return result;
+}
+
+std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
+                       const std::vector<ActorId>& order, util::Arena* arena,
+                       const SplitCosts* shared_costs) {
+  return interval_dp<false, false>(g, q, order, arena, shared_costs, nullptr,
+                                   nullptr);
+}
+
+SdppoResult sdppo(const Graph& g, const Repetitions& q,
+                  const std::vector<ActorId>& order, util::Arena* arena,
+                  const SplitCosts* shared_costs) {
+  SdppoResult result;
+  result.estimate = interval_dp<true, true>(
+      g, q, order, arena, shared_costs, &result.splits, &result.schedule);
+  return result;
+}
+
+std::int64_t sdppo_estimate(const Graph& g, const Repetitions& q,
+                            const std::vector<ActorId>& order,
+                            util::Arena* arena,
+                            const SplitCosts* shared_costs) {
+  return interval_dp<true, false>(g, q, order, arena, shared_costs, nullptr,
+                                  nullptr);
 }
 
 }  // namespace sdf

@@ -33,6 +33,9 @@ struct DppoResult {
 /// cost(i,k,j) = sum over edges src in order[i..k], snk in order[k+1..j]
 /// of TNSE(e)/g_ij + delay(e), plus range-gcd and emptiness queries.
 ///
+/// Throws ArithmeticOverflowError when the total split weight (TNSE plus
+/// delay over all edges) reaches INT64_MAX / 4, the DP's infinity.
+///
 /// With `arena` the prefix/gcd tables are carved from it (the per-compile
 /// fast path); without one they live on the heap — that mode backs the
 /// slabs pipeline/explore_cache shares between neighboring explore points.
@@ -158,15 +161,14 @@ class SplitCosts {
   }
 
  private:
-  // The estimate-only fills iterate j-outer and fuse column-minus-diagonal
-  // scratch arrays from the mirrors below once per column — they read the
-  // raw tables directly instead of going through slice().
-  friend std::int64_t dppo_cost(const Graph&, const Repetitions&,
-                                const std::vector<ActorId>&, util::Arena*,
-                                const SplitCosts*);
-  friend std::int64_t sdppo_estimate(const Graph&, const Repetitions&,
-                                     const std::vector<ActorId>&,
-                                     util::Arena*, const SplitCosts*);
+  // interval_dp() (sched/dppo.cpp), the one kernel behind dppo() and
+  // sdppo(), iterates j-outer and fuses column-minus-diagonal scratch
+  // arrays from the mirrors below once per column — it reads the raw
+  // tables directly instead of going through slice().
+  template <bool kShared, bool kRecord>
+  friend std::int64_t interval_dp(const Graph&, const Repetitions&,
+                                  const std::vector<ActorId>&, util::Arena*,
+                                  const SplitCosts*, SplitTable*, Schedule*);
 
   // Rectangle sum over pos(src) in [i, k], pos(snk) in [k+1, j] on a flat
   // (n+1) x (n+1) prefix square: prefix[a][b] = sum over edges with

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/status.h"
+
 namespace sdf {
 
 Schedule Schedule::leaf(ActorId actor, std::int64_t count) {
@@ -118,8 +120,14 @@ std::vector<ActorId> Schedule::flatten(std::size_t limit) const {
 std::int64_t Schedule::total_firings() const {
   if (is_leaf()) return count_;
   std::int64_t sum = 0;
-  for (const Schedule& child : body_) sum += child.total_firings();
-  return sum * count_;
+  bool overflow = false;
+  for (const Schedule& child : body_) {
+    overflow |= __builtin_add_overflow(sum, child.total_firings(), &sum);
+  }
+  if (overflow || __builtin_mul_overflow(sum, count_, &sum)) {
+    throw ArithmeticOverflowError("Schedule: firing count overflow");
+  }
+  return sum;
 }
 
 std::int64_t Schedule::num_leaves() const {

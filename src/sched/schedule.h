@@ -59,7 +59,8 @@ class Schedule {
   [[nodiscard]] std::vector<ActorId> flatten(
       std::size_t limit = 1u << 22) const;
 
-  /// Total number of firings in one execution.
+  /// Total number of firings in one execution. Throws
+  /// ArithmeticOverflowError when nested loop factors overflow int64.
   [[nodiscard]] std::int64_t total_firings() const;
 
   /// Number of leaves (used as the schedule-tree "time step" count basis).

@@ -7,6 +7,8 @@
 // when the split has internal (crossing) edges; otherwise factoring can only
 // destroy sharing between disjoint input/output buffers (Fig. 7) and is
 // skipped.
+//
+// Defined in sched/dppo.cpp: DPPO and SDPPO run one interval-DP kernel.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +40,11 @@ struct SdppoResult {
                                 util::Arena* arena = nullptr,
                                 const SplitCosts* shared_costs = nullptr);
 
-/// Estimate-only SDPPO: the same table fill as sdppo() but without split
-/// bookkeeping or schedule reconstruction — just EQ 5's optimal value,
-/// which the split tie-break never changes. Identical governor
-/// checkpoints and telemetry. This is the hot path of ordering searches
-/// that score many candidate orders (sched/rpmc.h).
+/// Estimate-only SDPPO: the same fused table fill as sdppo() (one shared
+/// kernel) but without split bookkeeping or schedule reconstruction —
+/// just EQ 5's optimal value, which the split tie-break never changes.
+/// Identical governor checkpoints and telemetry. This is the hot path of
+/// ordering searches that score many candidate orders (sched/rpmc.h).
 [[nodiscard]] std::int64_t sdppo_estimate(const Graph& g,
                                           const Repetitions& q,
                                           const std::vector<ActorId>& order,

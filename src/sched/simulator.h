@@ -34,7 +34,8 @@ struct SimulationResult {
 };
 
 /// Simulates one period. Always runs to the end of the schedule or the
-/// first violation. Cost: O(total firings * average degree).
+/// first violation. Cost: O(total firings * average degree). Throws
+/// ArithmeticOverflowError when the firing count overflows int64.
 [[nodiscard]] SimulationResult simulate(const Graph& g, const Schedule& s);
 
 /// True iff `s` is a valid schedule: simulation succeeds, every actor fires

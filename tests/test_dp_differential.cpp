@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "graphs/filterbank.h"
+#include "graphs/homogeneous.h"
 #include "graphs/satellite.h"
 #include "pipeline/explore.h"
 #include "sched/chain_dp.h"
@@ -397,6 +399,86 @@ TEST_F(DpDifferential, SdppoIsByteIdenticalToTheReference) {
     for (const SdppoResult& got :
          {sdppo(g, q, order), sdppo(g, q, order, &arena),
           sdppo(g, q, order, &arena, &slab)}) {
+      EXPECT_EQ(got.estimate, want.estimate) << g.name();
+      EXPECT_EQ(splits_text(got.splits), splits_text(want.splits))
+          << g.name();
+      EXPECT_EQ(got.schedule.to_string(g), want.schedule.to_string(g))
+          << g.name();
+    }
+  }
+}
+
+/// Cells of the reference SDPPO recurrence where the crossing-edge
+/// tie-break overrides the first minimal split.
+int decisive_ties(const Graph& g, const Repetitions& q,
+                  const std::vector<ActorId>& order) {
+  const std::size_t n = order.size();
+  const ref::SplitCosts costs(g, q, order);
+  std::vector<std::vector<std::int64_t>> b(
+      n, std::vector<std::int64_t>(n, 0));
+  int decisive = 0;
+  for (std::size_t len = 2; len <= n; ++len) {
+    for (std::size_t i = 0; i + len <= n; ++i) {
+      const std::size_t j = i + len - 1;
+      std::vector<std::int64_t> total;
+      for (std::size_t k = i; k < j; ++k) {
+        total.push_back(std::max(b[i][k], b[k + 1][j]) + costs.cost(i, k, j));
+      }
+      const std::int64_t best = *std::min_element(total.begin(), total.end());
+      const std::size_t first =
+          i + static_cast<std::size_t>(
+                  std::find(total.begin(), total.end(), best) - total.begin());
+      for (std::size_t k = first + 1; k < j; ++k) {
+        if (total[k - i] == best &&
+            costs.edge_count(i, k, j) < costs.edge_count(i, first, j)) {
+          ++decisive;
+          break;
+        }
+      }
+      b[i][j] = best;
+    }
+  }
+  return decisive;
+}
+
+/// Homogeneous (all rates 1) DAG: a chain plus `extra` random forward
+/// edges. Every buffer costs 1, so equal-cost splits abound and differ in
+/// how many edges they cut.
+Graph homogeneous_dag(std::uint32_t seed, int n, int extra) {
+  Graph g("homogeneous_dag");
+  for (int a = 0; a < n; ++a) g.add_actor("h" + std::to_string(a));
+  for (int a = 0; a + 1 < n; ++a) g.add_edge(a, a + 1, 1, 1);
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> pick(0, n - 1);
+  for (int e = 0; e < extra; ++e) {
+    const int u = pick(rng);
+    const int v = pick(rng);
+    if (u + 1 < v) g.add_edge(u, v, 1, 1);
+  }
+  return g;
+}
+
+TEST_F(DpDifferential, SdppoTieBreakMatchesTheReferenceAtScale) {
+  // sdppo() reads crossing-edge counts only at ties; it must still pick
+  // the reference's splits on a 188-actor filterbank and on tie-heavy
+  // homogeneous graphs where the tie-break actually decides.
+  std::vector<Graph> graphs;
+  graphs.push_back(qmf235(5));
+  graphs.push_back(homogeneous_mesh(4, 8));
+  graphs.push_back(homogeneous_dag(11, 60, 40));
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const Repetitions q = repetitions_vector(g);
+    const std::vector<ActorId> order = topo(g);
+    if (gi == 0) {
+      ASSERT_GE(order.size(), 188u);
+    } else {
+      EXPECT_GT(decisive_ties(g, q, order), 0) << g.name();
+    }
+    const SdppoResult want = ref::sdppo(g, q, order);
+    util::Arena arena("test.differential");
+    for (const SdppoResult& got :
+         {sdppo(g, q, order), sdppo(g, q, order, &arena)}) {
       EXPECT_EQ(got.estimate, want.estimate) << g.name();
       EXPECT_EQ(splits_text(got.splits), splits_text(want.splits))
           << g.name();

@@ -457,6 +457,28 @@ TEST(Errors, CompileCheckedReturnsValueOrDiagnostic) {
   EXPECT_FALSE(bad.error().message.empty());
 }
 
+TEST(Errors, CompileCheckedTypesScheduleLoopOverflow) {
+  // Blocking by 2^62 pushes int64 past its range at three layers; each
+  // compile must fail typed, not wrap around or try to simulate the
+  // period.
+  CompileOptions options;
+  options.blocking_factor = std::int64_t{1} << 62;
+  auto code = [&](const Graph& g) {
+    const Result<CompileResult> r = compile_checked(g, options);
+    return r.ok() ? ErrorCode::kOk : r.error().code;
+  };
+  // q = (2, 1): the blocked repetitions themselves overflow.
+  EXPECT_EQ(code(chain({{1, 2}})), ErrorCode::kOverflow);
+  // A chain's two buffers each hold 2^62 tokens: the split weights the
+  // loop DP sums reach 2^63.
+  EXPECT_EQ(code(chain({{1, 1}, {1, 1}})), ErrorCode::kOverflow);
+  // Three unconnected actors leave the DP nothing to weigh, but their
+  // loop factors (2^62 A)(2^62 B)(2^62 C) add up to 3 * 2^62 firings.
+  Graph isolated("isolated");
+  for (const char* name : {"A", "B", "C"}) isolated.add_actor(name);
+  EXPECT_EQ(code(isolated), ErrorCode::kOverflow);
+}
+
 TEST(Errors, DiagnosticToJsonShape) {
   Diagnostic diag;
   diag.code = ErrorCode::kParse;

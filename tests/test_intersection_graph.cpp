@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "graphs/cddat.h"
+#include "graphs/filterbank.h"
+#include "graphs/random_sdf.h"
 #include "graphs/satellite.h"
+#include "pipeline/compile.h"
 #include "sched/apgan.h"
 #include "sched/sdppo.h"
 #include "sdf/analysis.h"
@@ -55,6 +60,27 @@ TEST(IntersectionGraph, TreeAwareMatchesGenericOnPracticalGraphs) {
     const IntersectionGraph fast = build_intersection_graph(tree, lifetimes);
     const IntersectionGraph slow = build_intersection_graph_generic(lifetimes);
     EXPECT_EQ(fast.adjacency, slow.adjacency) << g.name();
+  }
+}
+
+TEST(IntersectionGraph, TreeAwareMatchesGenericAtScale) {
+  // Deep right-leaning trees: a 188-actor filterbank and a seeded
+  // 250-actor random graph, each under its compiled schedule.
+  std::vector<Graph> graphs;
+  graphs.push_back(qmf12(5));
+  RandomSdfOptions options;
+  options.num_actors = 250;
+  std::mt19937 rng(250);
+  graphs.push_back(random_sdf_graph(options, rng));
+  for (const Graph& g : graphs) {
+    const CompileResult r = compile(g);
+    const ScheduleTree tree(g, r.schedule);
+    const IntersectionGraph fast = build_intersection_graph(tree, r.lifetimes);
+    const IntersectionGraph slow =
+        build_intersection_graph_generic(r.lifetimes);
+    ASSERT_GT(fast.size(), 200u) << g.name();
+    EXPECT_EQ(fast.adjacency, slow.adjacency) << g.name();
+    EXPECT_EQ(fast.adjacency, r.wig.adjacency) << g.name();
   }
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <set>
 #include <stdexcept>
+
+#include "util/status.h"
 
 namespace sdf {
 namespace {
@@ -110,6 +114,65 @@ TEST(PeriodicInterval, NextStartPastEnd) {
   const PeriodicInterval p(0, 1, {4}, {3});
   EXPECT_EQ(p.next_start_at_or_after(8), 8);
   EXPECT_FALSE(p.next_start_at_or_after(9).has_value());
+}
+
+TEST(PeriodicInterval, NextStartMatchesBurstEnumerationOnRandomIntervals) {
+  // Random mixed-radix intervals; t sweeps every gap, every burst start
+  // and the tail past the last burst, against brute-force enumeration.
+  std::mt19937 rng(20240517);
+  auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int in_gap = 0;
+  int on_start = 0;
+  int past_end = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::int64_t start = draw(0, 6);
+    const std::int64_t dur = draw(1, 3);
+    std::vector<std::int64_t> periods;
+    std::vector<std::int64_t> counts;
+    std::int64_t below = dur - 1;  // keep bursts disjoint, as in a tree
+    for (std::int64_t c = draw(0, 4); c > 0; --c) {
+      periods.push_back(below + draw(1, 3));
+      counts.push_back(draw(2, 4));
+      below += (counts.back() - 1) * periods.back();
+    }
+    const PeriodicInterval p(start, dur, periods, counts);
+    const auto starts = all_starts(p);
+    for (std::int64_t t = start - 2; t <= p.last_stop() + 2; ++t) {
+      const auto expected = starts.lower_bound(t);
+      const auto got = p.next_start_at_or_after(t);
+      if (expected == starts.end()) {
+        ++past_end;
+        EXPECT_FALSE(got.has_value()) << trial << " t=" << t;
+        continue;
+      }
+      if (*expected == t) ++on_start;
+      if (t > start && !p.live_at(t) && *expected != t) ++in_gap;
+      ASSERT_TRUE(got.has_value()) << trial << " t=" << t;
+      EXPECT_EQ(*got, *expected) << trial << " t=" << t;
+    }
+  }
+  EXPECT_GT(in_gap, 0);
+  EXPECT_GT(on_start, 0);
+  EXPECT_GT(past_end, 0);
+}
+
+TEST(PeriodicInterval, OccurrencesAndLastStopOverflowAreTyped) {
+  // 2^32 * 2^31 bursts: the mixed-radix span is exactly INT64_MAX, so the
+  // interval is representable but its burst count and end are not.
+  const PeriodicInterval wide(0, 1, {1, std::int64_t{1} << 32},
+                              {std::int64_t{1} << 32, std::int64_t{1} << 31});
+  EXPECT_THROW(static_cast<void>(wide.occurrences()), ArithmeticOverflowError);
+  EXPECT_THROW(static_cast<void>(wide.last_stop()), ArithmeticOverflowError);
+  const PeriodicInterval late(std::numeric_limits<std::int64_t>::max() - 5,
+                              3, {4}, {2});
+  EXPECT_EQ(late.occurrences(), 2);
+  EXPECT_THROW(static_cast<void>(late.last_stop()), ArithmeticOverflowError);
+  // A span past INT64_MAX cannot even be constructed.
+  EXPECT_THROW(PeriodicInterval(0, 1, {1, std::int64_t{1} << 32},
+                                {std::int64_t{1} << 32, std::int64_t{1} << 32}),
+               ArithmeticOverflowError);
 }
 
 TEST(PeriodicInterval, OverlapsSolidPairs) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+
 #include "test_util.h"
+#include "util/status.h"
 
 namespace sdf {
 namespace {
@@ -155,6 +160,99 @@ TEST(ScheduleTree, DepthsAreConsistent) {
                                  tree.node(n.right).dur));
     }
   }
+}
+
+/// Reference ancestor test: walk parent pointers from `v`.
+bool ancestor_by_parent_walk(const ScheduleTree& tree, TreeNodeId anc,
+                             TreeNodeId v) {
+  for (; v != kNoTreeNode; v = tree.node(v).parent) {
+    if (v == anc) return true;
+  }
+  return false;
+}
+
+/// Random nested SAS over `actors`: each body splits its range into 2-4
+/// contiguous groups; one actor becomes a leaf (count 1-3), more a loop
+/// (factor 1-3).
+Schedule random_sas(std::mt19937& rng, const std::vector<ActorId>& actors,
+                    std::size_t lo, std::size_t hi) {
+  auto draw = [&](int a, int b) {
+    return std::uniform_int_distribution<int>(a, b)(rng);
+  };
+  if (hi - lo == 1) return Schedule::leaf(actors[lo], draw(1, 3));
+  const auto parts = static_cast<std::size_t>(
+      draw(2, static_cast<int>(std::min<std::size_t>(4, hi - lo))));
+  std::vector<std::size_t> cuts{lo, hi};
+  while (cuts.size() < parts + 1) {
+    const auto c = static_cast<std::size_t>(
+        draw(static_cast<int>(lo) + 1, static_cast<int>(hi) - 1));
+    if (std::find(cuts.begin(), cuts.end(), c) == cuts.end()) {
+      cuts.push_back(c);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<Schedule> body;
+  for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
+    body.push_back(random_sas(rng, actors, cuts[p], cuts[p + 1]));
+  }
+  return Schedule::loop(draw(1, 3), std::move(body));
+}
+
+TEST(ScheduleTree, AncestorTestMatchesParentWalkOnRandomTrees) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    Graph g;
+    const int n = 2 + trial;
+    std::vector<ActorId> actors;
+    for (int a = 0; a < n; ++a) {
+      actors.push_back(g.add_actor("a" + std::to_string(a)));
+    }
+    std::shuffle(actors.begin(), actors.end(), rng);
+    const ScheduleTree tree(
+        g, random_sas(rng, actors, 0, static_cast<std::size_t>(n)));
+    const auto size = static_cast<TreeNodeId>(tree.size());
+    for (TreeNodeId u = 0; u < size; ++u) {
+      for (TreeNodeId v = 0; v < size; ++v) {
+        ASSERT_EQ(tree.is_ancestor_or_self(u, v),
+                  ancestor_by_parent_walk(tree, u, v))
+            << "trial " << trial << " u=" << u << " v=" << v;
+      }
+      // The least common parent of u and a random w is a common ancestor
+      // under the reference walk, and neither child of it is one.
+      const TreeNodeId w = static_cast<TreeNodeId>(
+          std::uniform_int_distribution<int>(0, size - 1)(rng));
+      const TreeNodeId lcp = tree.least_common_parent(u, w);
+      EXPECT_TRUE(ancestor_by_parent_walk(tree, lcp, u));
+      EXPECT_TRUE(ancestor_by_parent_walk(tree, lcp, w));
+      const TreeNode& l = tree.node(lcp);
+      if (!l.is_leaf()) {
+        EXPECT_FALSE(ancestor_by_parent_walk(tree, l.left, u) &&
+                     ancestor_by_parent_walk(tree, l.left, w));
+        EXPECT_FALSE(ancestor_by_parent_walk(tree, l.right, u) &&
+                     ancestor_by_parent_walk(tree, l.right, w));
+      }
+    }
+  }
+}
+
+TEST(ScheduleTree, DurationOverflowIsTyped) {
+  Graph g;
+  const ActorId a = g.add_actor("A");
+  const ActorId b = g.add_actor("B");
+  const ActorId c = g.add_actor("C");
+  // (2^32 (2^32 A B) C): the inner loop lasts 2^33 steps, the outer
+  // 2^32 * (2^33 + 1) — past INT64_MAX.
+  const std::int64_t big = std::int64_t{1} << 32;
+  const Schedule nested = Schedule::loop(
+      big, {Schedule::loop(big, {Schedule::leaf(a), Schedule::leaf(b)}),
+            Schedule::leaf(c)});
+  EXPECT_THROW(ScheduleTree(g, nested), ArithmeticOverflowError);
+  // One step short of the limit still builds.
+  const Schedule edge = Schedule::loop(
+      (std::int64_t{1} << 62) - 1, {Schedule::leaf(a), Schedule::leaf(b)});
+  const ScheduleTree tree(g, Schedule::sequence({edge, Schedule::leaf(c)}));
+  EXPECT_EQ(tree.total_duration(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(tree.iterations_of(tree.leaf_of(a)), (std::int64_t{1} << 62) - 1);
 }
 
 }  // namespace
