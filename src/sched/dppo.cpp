@@ -58,12 +58,6 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
       delay_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
       wsum_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
       count_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      tnse_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      delay_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      wsum_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      tnse_diag_(util::ArenaAllocator<std::int64_t>(arena)),
-      delay_diag_(util::ArenaAllocator<std::int64_t>(arena)),
-      wsum_diag_(util::ArenaAllocator<std::int64_t>(arena)),
       gcd_(util::ArenaAllocator<std::int64_t>(arena)),
       gcd_inv_(util::ArenaAllocator<std::uint64_t>(arena)) {
   util::ArenaVector<std::int32_t> pos(
@@ -94,25 +88,6 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
   build_prefix(g, order, pos.data(), count_prefix_,
                [](EdgeId) { return 1; });
 
-  // Transposed and diagonal mirrors of the weight squares so Slice's
-  // k-loop loads stream contiguously (see sched/dppo.h).
-  const auto mirror = [&](const util::ArenaVector<std::int64_t>& src,
-                          util::ArenaVector<std::int64_t>& transposed,
-                          util::ArenaVector<std::int64_t>& diagonal) {
-    transposed.assign(stride_ * stride_, 0);
-    diagonal.assign(stride_, 0);
-    for (std::size_t a = 0; a < stride_; ++a) {
-      const std::int64_t* row = src.data() + a * stride_;
-      for (std::size_t b = 0; b < stride_; ++b) {
-        transposed[b * stride_ + a] = row[b];
-      }
-      diagonal[a] = row[a];
-    }
-  };
-  mirror(tnse_prefix_, tnse_tprefix_, tnse_diag_);
-  mirror(delay_prefix_, delay_tprefix_, delay_diag_);
-  mirror(wsum_prefix_, wsum_tprefix_, wsum_diag_);
-
   gcd_.assign(tri_cells(n_), 0);
   for (std::size_t i = 0; i < n_; ++i) {
     std::int64_t acc = 0;
@@ -133,11 +108,11 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
 }
 
 // The one interval-DP kernel behind dppo()/dppo_cost() (EQ 2, kShared =
-// false) and sdppo()/sdppo_estimate() (EQ 5, kShared = true): a j-outer
-// table fill over fused column-minus-diagonal scratch (docs/ARCHITECTURE.md,
-// "DP memory model"). Returns the optimal cost. With kRecord it also
-// records each cell's split into `splits` and rebuilds `schedule` from
-// them; without, both are unused.
+// false) and sdppo()/sdppo_estimate() (EQ 5, kShared = true): a
+// column-blocked table fill over fused row-minus-diagonal scratch
+// (docs/ARCHITECTURE.md, "DP memory model"). Returns the optimal cost.
+// With kRecord it also records each cell's split into `splits` and
+// rebuilds `schedule` from them; without, both are unused.
 template <bool kShared, bool kRecord>
 std::int64_t interval_dp(const Graph& g, const Repetitions& q,
                          const std::vector<ActorId>& order,
@@ -177,9 +152,13 @@ std::int64_t interval_dp(const Graph& g, const Repetitions& q,
     b_row[tri_at(n, i, i)] = 0;
     b_col[tri_col_at(i, i)] = 0;
   }
-  std::int64_t* fw = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* ft = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* fd = a.alloc_array<std::int64_t>(stride);
+  // Per-block fused split-cost scratch, one n-long row per block column:
+  // fw[c * n + m] = wsum[m][j0 + c + 1] - wsum[m][m] for column j0 + c
+  // (ft/fd likewise over the TNSE and delay squares).
+  const std::size_t width = std::min(kDpBlock, n);
+  std::int64_t* fw = a.alloc_array<std::int64_t>(width * n);
+  std::int64_t* ft = a.alloc_array<std::int64_t>(width * n);
+  std::int64_t* fd = a.alloc_array<std::int64_t>(width * n);
   std::uint32_t* split =
       kRecord ? a.alloc_array<std::uint32_t>(cells_total) : nullptr;
 
@@ -220,63 +199,90 @@ std::int64_t interval_dp(const Graph& g, const Repetitions& q,
     return kShared ? std::max(left, right) : left + right;
   };
 
-  // j-outer fill with per-column fused (column - diagonal) scratch: the
-  // common gcd == 1 k-loop then makes three streaming loads per split.
-  // Same per-(i,k,j) integer arithmetic as slice() — identical results,
-  // identical checkpoint and telemetry counts.
+  // Column-blocked fill. For each block of kDpBlock columns [j0, j1), i
+  // sweeps down from j1 - 2 and fills (i, j) for j ascending in the block:
+  // b[i][k] then comes from this sweep or an earlier block, and b[k+1][j]
+  // from a higher row of this block. Row i of b and of the prefix squares
+  // is thus streamed once per block, and the block's fused scratch makes
+  // the common gcd == 1 split cost two streaming loads and a cell
+  // constant. Same per-(i,k,j) integer arithmetic as split_cost():
+  // identical results, identical checkpoint and telemetry counts.
+  const std::int64_t* wsum = costs.wsum_prefix_.data();
+  const std::int64_t* tnse_sq = costs.tnse_prefix_.data();
+  const std::int64_t* delay_sq = costs.delay_prefix_.data();
   std::int64_t cells = 0;
   std::int64_t split_candidates = 0;
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::int64_t* wt = costs.wsum_tprefix_.data() + (j + 1) * stride;
-    const std::int64_t* wd = costs.wsum_diag_.data();
-    for (std::size_t m = 0; m <= j; ++m) fw[m] = wt[m] - wd[m];
+  for (std::size_t j0 = 0; j0 < n; j0 += kDpBlock) {
+    const std::size_t j1 = std::min(j0 + kDpBlock, n);
     // gcd of a range divides every sub-range's gcd, so gij(j-1, j) == 1
-    // forces gij(i, j) == 1 for all i — the t/d mirrors go untouched.
-    if (costs.gij(j - 1, j) != 1) {
-      const std::int64_t* tt = costs.tnse_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* td = costs.tnse_diag_.data();
-      const std::int64_t* dt = costs.delay_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* dd = costs.delay_diag_.data();
-      for (std::size_t m = 0; m <= j; ++m) {
-        ft[m] = tt[m] - td[m];
-        fd[m] = dt[m] - dd[m];
+    // forces gij(i, j) == 1 for all i: a block of such columns never
+    // reads ft/fd. (Column 0 has no cells.)
+    bool any_gcd = false;
+    for (std::size_t j = std::max<std::size_t>(j0, 1); j < j1; ++j) {
+      any_gcd |= costs.gij(j - 1, j) != 1;
+    }
+    // Column j reads scratch rows m = k + 1 in [1, j] only.
+    for (std::size_t m = 1; m < j1; ++m) {
+      const std::size_t c0 = m > j0 ? m - j0 : 0;
+      const std::int64_t* w = wsum + m * stride + j0 + 1;
+      const std::int64_t wd = wsum[m * stride + m];
+      for (std::size_t c = c0; c < j1 - j0; ++c) fw[c * n + m] = w[c] - wd;
+      if (any_gcd) {
+        const std::int64_t* t = tnse_sq + m * stride + j0 + 1;
+        const std::int64_t* d = delay_sq + m * stride + j0 + 1;
+        const std::int64_t td = tnse_sq[m * stride + m];
+        const std::int64_t dd = delay_sq[m * stride + m];
+        for (std::size_t c = c0; c < j1 - j0; ++c) {
+          ft[c * n + m] = t[c] - td;
+          fd[c * n + m] = d[c] - dd;
+        }
       }
     }
-    const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
-    for (std::size_t i = j; i-- > 0;) {
-      governor_checkpoint(site);
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(j - i);
-      const std::int64_t gcd_ij = costs.gij(i, j);
+    for (std::size_t i = j1 - 1; i-- > 0;) {
       const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      std::int64_t best;
-      if (gcd_ij == 1) {
-        const std::int64_t* w_row = costs.wsum_prefix_.data() + i * stride;
-        const std::int64_t w_base = w_row[j + 1];
-        best = fill_cell(i, j, [&](std::size_t k) {
-          return combine(row_i[k], col_j[k + 1]) + fw[k + 1] - w_base +
-                 w_row[k + 1];
-        });
-      } else {
-        const std::uint64_t inv = costs.gcd_inv_[tri_at(n, i, j)];
-        const auto div = static_cast<std::uint64_t>(gcd_ij);
-        const std::int64_t* t_row = costs.tnse_prefix_.data() + i * stride;
-        const std::int64_t* d_row = costs.delay_prefix_.data() + i * stride;
-        const std::int64_t t_base = t_row[j + 1];
-        const std::int64_t d_base = d_row[j + 1];
-        best = fill_cell(i, j, [&](std::size_t k) {
-          const auto t = static_cast<std::uint64_t>(ft[k + 1] - t_base +
-                                                    t_row[k + 1]);
-          const std::int64_t d = fd[k + 1] - d_base + d_row[k + 1];
-          auto quot = static_cast<std::uint64_t>(
-              (static_cast<unsigned __int128>(inv) * t) >> 64);
-          if (t - quot * div >= div) ++quot;
-          return combine(row_i[k], col_j[k + 1]) +
-                 static_cast<std::int64_t>(quot) + d;
-        });
+      const std::int64_t* w_row = wsum + i * stride;
+      for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
+        governor_checkpoint(site);
+        ++cells;
+        split_candidates += static_cast<std::int64_t>(j - i);
+        const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
+        const std::size_t off = (j - j0) * n;
+        const std::int64_t gcd_ij = costs.gij(i, j);
+        std::int64_t best;
+        if (gcd_ij == 1) {
+          const std::int64_t* fw_j = fw + off;
+          const std::int64_t w_base = w_row[j + 1];
+          best = fill_cell(i, j, [&](std::size_t k) {
+            return combine(row_i[k], col_j[k + 1]) + fw_j[k + 1] - w_base +
+                   w_row[k + 1];
+          });
+        } else {
+          // t / gcd as a multiply-high by inv = floor(2^64 / gcd): for t in
+          // [0, 2^63), floor(inv * t / 2^64) is floor(t / gcd) or one
+          // less, so one remainder check restores the exact truncating
+          // quotient, byte-identical to the idiv.
+          const std::uint64_t inv = costs.gcd_inv_[tri_at(n, i, j)];
+          const auto div = static_cast<std::uint64_t>(gcd_ij);
+          const std::int64_t* ft_j = ft + off;
+          const std::int64_t* fd_j = fd + off;
+          const std::int64_t* t_row = tnse_sq + i * stride;
+          const std::int64_t* d_row = delay_sq + i * stride;
+          const std::int64_t t_base = t_row[j + 1];
+          const std::int64_t d_base = d_row[j + 1];
+          best = fill_cell(i, j, [&](std::size_t k) {
+            const auto t = static_cast<std::uint64_t>(ft_j[k + 1] - t_base +
+                                                      t_row[k + 1]);
+            const std::int64_t d = fd_j[k + 1] - d_base + d_row[k + 1];
+            auto quot = static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(inv) * t) >> 64);
+            if (t - quot * div >= div) ++quot;
+            return combine(row_i[k], col_j[k + 1]) +
+                   static_cast<std::int64_t>(quot) + d;
+          });
+        }
+        b_row[tri_at(n, i, j)] = best;
+        b_col[tri_col_at(i, j)] = best;
       }
-      b_row[tri_at(n, i, j)] = best;
-      b_col[tri_col_at(i, j)] = best;
     }
   }
   obs::count(kShared ? "sched.sdppo.cells" : "sched.dppo.cells", cells);

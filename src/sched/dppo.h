@@ -21,6 +21,11 @@
 
 namespace sdf {
 
+/// Columns filled per row sweep of the interval DP (sched/dppo.cpp): one
+/// block's fused split-cost scratch and the rows it reads stay cache-hot
+/// across the block (docs/ARCHITECTURE.md, "DP memory model").
+inline constexpr std::size_t kDpBlock = 16;
+
 /// Result of a DPPO run.
 struct DppoResult {
   std::int64_t cost = 0;      ///< bufmem (EQ 1) of the order-optimal SAS
@@ -87,84 +92,21 @@ class SplitCosts {
            rect(delay_prefix_.data(), i, k, j);
   }
 
-  /// Hoisted split-cost pointers for one DP cell (i, j). rect()'s four
-  /// loads per k walk a column (stride n+1), the diagonal (stride n+2), a
-  /// row, and a constant; Slice rewrites the first two against transposed
-  /// and diagonal mirrors so every k-dependent load streams contiguously.
-  /// Same integer arithmetic, same values — only the memory layout moves.
-  struct Slice {
-    const std::int64_t* w_col;   ///< transposed wsum, column j+1
-    const std::int64_t* w_diag;  ///< wsum diagonal
-    const std::int64_t* w_row;   ///< wsum row i
-    std::int64_t w_base;         ///< wsum[i][j+1], cell-constant
-    const std::int64_t* t_col;
-    const std::int64_t* t_diag;
-    const std::int64_t* t_row;
-    std::int64_t t_base;
-    const std::int64_t* d_col;
-    const std::int64_t* d_diag;
-    const std::int64_t* d_row;
-    std::int64_t d_base;
-    std::int64_t gcd;       ///< g_ij for this cell
-    std::uint64_t gcd_inv;  ///< floor(2^64 / gcd), only set when gcd > 1
-
-    /// split_cost(i, k, j, gcd) with all cell-invariant work hoisted and
-    /// the division strength-reduced: t / gcd becomes a multiply-high by
-    /// the precomputed reciprocal plus one correcting subtract. With
-    /// inv = floor(2^64/d) and t in [0, 2^63), q0 = floor(inv*t / 2^64)
-    /// is floor(t/d) or one less (inv*t/2^64 > t/d - t/2^64 - ... >
-    /// t/d - 1), so a single remainder check restores the exact
-    /// truncating quotient — byte-identical to the idiv.
-    [[nodiscard]] std::int64_t cost(std::size_t k) const {
-      if (gcd == 1) {
-        return w_col[k + 1] - w_base - w_diag[k + 1] + w_row[k + 1];
-      }
-      const auto t = static_cast<std::uint64_t>(
-          t_col[k + 1] - t_base - t_diag[k + 1] + t_row[k + 1]);
-      const std::int64_t d =
-          d_col[k + 1] - d_base - d_diag[k + 1] + d_row[k + 1];
-      const auto div = static_cast<std::uint64_t>(gcd);
-      auto q = static_cast<std::uint64_t>(
-          (static_cast<unsigned __int128>(gcd_inv) * t) >> 64);
-      if (t - q * div >= div) ++q;
-      return static_cast<std::int64_t>(q) + d;
-    }
-  };
-
-  [[nodiscard]] Slice slice(std::size_t i, std::size_t j) const {
-    Slice s;
-    s.w_col = wsum_tprefix_.data() + (j + 1) * stride_;
-    s.w_diag = wsum_diag_.data();
-    s.w_row = wsum_prefix_.data() + i * stride_;
-    s.w_base = s.w_row[j + 1];
-    s.t_col = tnse_tprefix_.data() + (j + 1) * stride_;
-    s.t_diag = tnse_diag_.data();
-    s.t_row = tnse_prefix_.data() + i * stride_;
-    s.t_base = s.t_row[j + 1];
-    s.d_col = delay_tprefix_.data() + (j + 1) * stride_;
-    s.d_diag = delay_diag_.data();
-    s.d_row = delay_prefix_.data() + i * stride_;
-    s.d_base = s.d_row[j + 1];
-    s.gcd = gij(i, j);
-    s.gcd_inv = gcd_inv_[tri_at(n_, i, j)];
-    return s;
-  }
-
   [[nodiscard]] std::size_t size() const { return n_; }
 
   /// Resident table bytes — what a cached slab costs against the
   /// governor's dp_mem budget (pipeline/explore_cache.h).
   [[nodiscard]] std::int64_t bytes() const {
     return static_cast<std::int64_t>(
-        (7 * stride_ * stride_ + 3 * stride_ + 2 * tri_cells(n_)) *
+        (4 * stride_ * stride_ + 2 * tri_cells(n_)) *
         sizeof(std::int64_t));
   }
 
  private:
   // interval_dp() (sched/dppo.cpp), the one kernel behind dppo() and
-  // sdppo(), iterates j-outer and fuses column-minus-diagonal scratch
-  // arrays from the mirrors below once per column — it reads the raw
-  // tables directly instead of going through slice().
+  // sdppo(), fills kDpBlock columns per row sweep and builds each block's
+  // fused (row minus diagonal) scratch straight from the row-major squares
+  // below, so it reads them directly rather than through rect().
   template <bool kShared, bool kRecord>
   friend std::int64_t interval_dp(const Graph&, const Repetitions&,
                                   const std::vector<ActorId>&, util::Arena*,
@@ -186,18 +128,9 @@ class SplitCosts {
   util::ArenaVector<std::int64_t> delay_prefix_;
   util::ArenaVector<std::int64_t> wsum_prefix_;  ///< tnse + delay combined
   util::ArenaVector<std::int64_t> count_prefix_;
-  // Transposed and diagonal mirrors of the three weight squares backing
-  // Slice: the DP k-loop reads a prefix column and the prefix diagonal,
-  // which in row-major layout stride by (n+1) and (n+2) elements.
-  util::ArenaVector<std::int64_t> tnse_tprefix_;
-  util::ArenaVector<std::int64_t> delay_tprefix_;
-  util::ArenaVector<std::int64_t> wsum_tprefix_;
-  util::ArenaVector<std::int64_t> tnse_diag_;
-  util::ArenaVector<std::int64_t> delay_diag_;
-  util::ArenaVector<std::int64_t> wsum_diag_;
   util::ArenaVector<std::int64_t> gcd_;  ///< upper triangle, tri_at order
   /// floor(2^64 / gcd_[c]) per triangle cell (0 where gcd == 1): the
-  /// 128-bit division is paid once here, not per slice() in the DP loop.
+  /// 128-bit division is paid once here, not per cell in the DP loop.
   util::ArenaVector<std::uint64_t> gcd_inv_;
 };
 

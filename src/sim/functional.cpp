@@ -1,5 +1,6 @@
 #include "sim/functional.h"
 
+#include <cstdint>
 #include <deque>
 #include <numeric>
 #include <sstream>
@@ -75,16 +76,21 @@ KernelTable default_kernels(const Graph& g) {
     kernels.push_back(
         [a, num_out, out_rates](
             const std::vector<std::vector<TokenValue>>& inputs) {
-          TokenValue mix = 0;
+          // Wrapping hash: the arithmetic runs in uint64_t, where
+          // overflow is defined, and casts back to the token type.
+          std::uint64_t mix = 0;
           for (const auto& stream : inputs) {
-            for (const TokenValue v : stream) mix = mix * 31 + v;
+            for (const TokenValue v : stream) {
+              mix = mix * 31 + static_cast<std::uint64_t>(v);
+            }
           }
           std::vector<std::vector<TokenValue>> outputs(num_out);
           for (std::size_t j = 0; j < num_out; ++j) {
             for (std::int64_t t = 0; t < out_rates[j]; ++t) {
-              outputs[j].push_back(mix * 31 +
-                                   static_cast<TokenValue>(a) * 7 +
-                                   static_cast<TokenValue>(j) * 3 + t);
+              outputs[j].push_back(static_cast<TokenValue>(
+                  mix * 31 + static_cast<std::uint64_t>(a) * 7 +
+                  static_cast<std::uint64_t>(j) * 3 +
+                  static_cast<std::uint64_t>(t)));
             }
           }
           return outputs;

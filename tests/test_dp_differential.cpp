@@ -1,16 +1,17 @@
 // Differential harness pinning byte-identity of the arena-backed,
-// structure-of-arrays DP rewrite (sched/dppo.cpp, sdppo.cpp,
-// chain_dp.cpp) against naive reference re-implementations kept here —
-// nested-vector prefix squares and tables, exactly the shape the code had
-// before the rewrite, with no arena, no governor charges and no
-// counters. The contract: for every graph, every cost, split table,
-// schedule string, Pareto set and truncation flag must match
-// byte-for-byte, in heap mode, arena mode, and with a shared SplitCosts
-// slab; and the explore sweep must stay byte-identical across job counts
-// under injected faults (degradation paths included).
+// structure-of-arrays DP rewrite (sched/dppo.cpp, chain_dp.cpp) against
+// naive reference re-implementations kept here — nested-vector prefix
+// squares and tables, exactly the shape the code had before the rewrite,
+// with no arena, no governor charges and no counters. The contract: for
+// every graph, every cost, split table, schedule string, Pareto set and
+// truncation flag must match byte-for-byte, in heap mode, arena mode, and
+// with a shared SplitCosts slab; and the explore sweep must stay
+// byte-identical across job counts under injected faults (degradation
+// paths included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -485,6 +486,153 @@ TEST_F(DpDifferential, SdppoTieBreakMatchesTheReferenceAtScale) {
       EXPECT_EQ(got.schedule.to_string(g), want.schedule.to_string(g))
           << g.name();
     }
+  }
+}
+
+/// A chain of n actors plus about n/2 random forward edges, some with
+/// delays. Neighbouring repetition counts alternate 2 and 3 (gcd 1),
+/// except that both ends of each column in `gcd_at` get 5: only those
+/// columns hold a gcd > 1 range.
+Graph sparse_gcd_dag(std::uint32_t seed, int n,
+                     const std::vector<int>& gcd_at) {
+  Graph g("sparse_gcd_dag");
+  std::vector<std::int64_t> want;
+  for (int a = 0; a < n; ++a) {
+    g.add_actor("r" + std::to_string(a));
+    want.push_back(a % 2 == 0 ? 2 : 3);
+  }
+  for (const int j : gcd_at) {
+    want[static_cast<std::size_t>(j - 1)] = 5;
+    want[static_cast<std::size_t>(j)] = 5;
+  }
+  std::mt19937 rng(seed);
+  auto connect = [&](int u, int v) {
+    const std::int64_t qu = want[static_cast<std::size_t>(u)];
+    const std::int64_t qv = want[static_cast<std::size_t>(v)];
+    const std::int64_t d = std::gcd(qu, qv);
+    g.add_edge(u, v, qv / d, qu / d, static_cast<std::int64_t>(rng() % 3));
+  };
+  for (int a = 0; a + 1 < n; ++a) connect(a, a + 1);
+  std::uniform_int_distribution<int> pick(0, n - 1);
+  for (int e = 0; e < n / 2; ++e) {
+    const int u = pick(rng);
+    const int v = pick(rng);
+    if (u + 1 < v) connect(u, v);
+  }
+  return g;
+}
+
+/// Columns j whose adjacent pair (j-1, j) has gcd > 1: the columns whose
+/// cells can take the TNSE/delay path.
+int gcd_columns(const Graph& g, const Repetitions& q,
+                const std::vector<ActorId>& order) {
+  const SplitCosts costs(g, q, order);
+  int columns = 0;
+  for (std::size_t j = 1; j < order.size(); ++j) {
+    columns += costs.gij(j - 1, j) != 1 ? 1 : 0;
+  }
+  return columns;
+}
+
+TEST_F(DpDifferential, BlockBoundariesMatchTheReference) {
+  // The fill runs kDpBlock columns per row sweep, in blocks [0, kDpBlock),
+  // [kDpBlock, 2 kDpBlock), ... Orders one short of, exactly at, one past
+  // and one past twice the block width end on a partial block, a full
+  // one, and a one-column block, with cells and gcd > 1 scratch on both
+  // sides of every block edge. All four
+  // entry points must match the reference, with and without an arena.
+  for (const std::size_t n : {kDpBlock - 1, kDpBlock, kDpBlock + 1,
+                              2 * kDpBlock + 1}) {
+    const auto size = static_cast<int>(n);
+    const auto seed = static_cast<std::uint32_t>(n);
+    // gcd > 1 only in the last column of a block, the first of the next,
+    // or the last column of the order: blocks that need the TNSE/delay
+    // scratch for one edge column only.
+    std::vector<int> gcd_at;
+    for (const std::size_t j : {kDpBlock - 1, kDpBlock, 2 * kDpBlock, n - 1}) {
+      if (j < n && std::find(gcd_at.begin(), gcd_at.end(),
+                             static_cast<int>(j)) == gcd_at.end()) {
+        gcd_at.push_back(static_cast<int>(j));
+      }
+    }
+    std::vector<Graph> graphs;
+    graphs.push_back(testing::random_consistent_graph(seed, size));
+    graphs.push_back(sparse_gcd_dag(seed, size, gcd_at));
+    graphs.push_back(homogeneous_dag(seed, size, size));
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const Graph& g = graphs[gi];
+      const Repetitions q = repetitions_vector(g);
+      const std::vector<ActorId> order = topo(g);
+      ASSERT_EQ(order.size(), n) << g.name();
+      if (gi == 1) {
+        ASSERT_EQ(gcd_columns(g, q, order), static_cast<int>(gcd_at.size()))
+            << "n " << n;
+      }
+      const DppoResult want_dppo = ref::dppo(g, q, order);
+      const SdppoResult want_sdppo = ref::sdppo(g, q, order);
+      util::Arena arena("test.differential");
+      for (util::Arena* a : {static_cast<util::Arena*>(nullptr), &arena}) {
+        const DppoResult got_dppo = dppo(g, q, order, a);
+        EXPECT_EQ(got_dppo.cost, want_dppo.cost) << g.name() << " n " << n;
+        EXPECT_EQ(splits_text(got_dppo.splits), splits_text(want_dppo.splits))
+            << g.name() << " n " << n;
+        EXPECT_EQ(got_dppo.schedule.to_string(g),
+                  want_dppo.schedule.to_string(g))
+            << g.name() << " n " << n;
+        EXPECT_EQ(dppo_cost(g, q, order, a), want_dppo.cost)
+            << g.name() << " n " << n;
+        const SdppoResult got_sdppo = sdppo(g, q, order, a);
+        EXPECT_EQ(got_sdppo.estimate, want_sdppo.estimate)
+            << g.name() << " n " << n;
+        EXPECT_EQ(splits_text(got_sdppo.splits),
+                  splits_text(want_sdppo.splits))
+            << g.name() << " n " << n;
+        EXPECT_EQ(got_sdppo.schedule.to_string(g),
+                  want_sdppo.schedule.to_string(g))
+            << g.name() << " n " << n;
+        EXPECT_EQ(sdppo_estimate(g, q, order, a), want_sdppo.estimate)
+            << g.name() << " n " << n;
+      }
+    }
+  }
+}
+
+TEST_F(DpDifferential, DppoMatchesTheReferenceAtScale) {
+  // qmf235's gcd > 1 columns span many blocks, so the TNSE/delay scratch
+  // crosses block edges under EQ 2's sum as well as EQ 5's overlay.
+  const Graph g = qmf235(5);
+  const Repetitions q = repetitions_vector(g);
+  const std::vector<ActorId> order = topo(g);
+  ASSERT_GE(order.size(), 188u);
+  EXPECT_GT(gcd_columns(g, q, order), static_cast<int>(kDpBlock));
+  const DppoResult want = ref::dppo(g, q, order);
+  util::Arena arena("test.differential");
+  for (util::Arena* a : {static_cast<util::Arena*>(nullptr), &arena}) {
+    const DppoResult got = dppo(g, q, order, a);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(splits_text(got.splits), splits_text(want.splits));
+    EXPECT_EQ(got.schedule.to_string(g), want.schedule.to_string(g));
+    EXPECT_EQ(dppo_cost(g, q, order, a), want.cost);
+  }
+}
+
+TEST_F(DpDifferential, SplitCostsBytesMatchTheArenaCharge) {
+  // pipeline/explore_cache charges a cached slab by bytes(), so it must be
+  // what construction takes from the arena, less only the actor position
+  // scratch and alignment.
+  std::vector<Graph> graphs = differential_graphs();
+  graphs.push_back(qmf235(5));
+  for (const Graph& g : graphs) {
+    const Repetitions q = repetitions_vector(g);
+    const std::vector<ActorId> order = topo(g);
+    util::Arena arena("test.differential");
+    const std::int64_t before = arena.stats().bytes_in_use;
+    const SplitCosts costs(g, q, order, &arena);
+    const std::int64_t taken = arena.stats().bytes_in_use - before;
+    const auto pos_and_align = static_cast<std::int64_t>(
+        g.num_actors() * sizeof(std::int32_t) + alignof(std::max_align_t));
+    EXPECT_LE(costs.bytes(), taken) << g.name();
+    EXPECT_LE(taken - costs.bytes(), pos_and_align) << g.name();
   }
 }
 
