@@ -41,7 +41,6 @@
 // anything else is a usage error (exit 2), never a silent fallback.
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -55,6 +54,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "sdf/io.h"
 #include "service/client.h"
 #include "service/qos.h"
@@ -95,13 +95,6 @@ bool env_flag(const char* name) {
   if (text == "1") return true;
   std::fprintf(stderr, "usage: %s must be 0 or 1, got '%s'\n", name, value);
   std::exit(2);
-}
-
-std::int64_t percentile(std::vector<std::int64_t> sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
 }
 
 struct RoundResult {
@@ -295,14 +288,12 @@ int fairness_phase(JsonTrajectory& trajectory) {
   runner.join();
   std::filesystem::remove_all(dir);
 
-  std::sort(solo.begin(), solo.end());
-  std::sort(adversarial.begin(), adversarial.end());
-  const std::int64_t solo_p50 = percentile(solo, 50);
-  const std::int64_t solo_p95 = percentile(solo, 95);
-  const std::int64_t solo_p99 = percentile(solo, 99);
-  const std::int64_t adv_p50 = percentile(adversarial, 50);
-  const std::int64_t adv_p95 = percentile(adversarial, 95);
-  const std::int64_t adv_p99 = percentile(adversarial, 99);
+  const std::int64_t solo_p50 = obs::exact_percentile(solo, 50);
+  const std::int64_t solo_p95 = obs::exact_percentile(solo, 95);
+  const std::int64_t solo_p99 = obs::exact_percentile(solo, 99);
+  const std::int64_t adv_p50 = obs::exact_percentile(adversarial, 50);
+  const std::int64_t adv_p95 = obs::exact_percentile(adversarial, 95);
+  const std::int64_t adv_p99 = obs::exact_percentile(adversarial, 99);
   const double ratio = solo_p95 > 0 ? static_cast<double>(adv_p95) /
                                           static_cast<double>(solo_p95)
                                     : 0.0;
@@ -444,10 +435,10 @@ int fleet_phase(JsonTrajectory& trajectory) {
 
     obs::Json rows = obs::Json::array();
     for (RoundResult& round : rounds) {
-      std::sort(round.latencies_us.begin(), round.latencies_us.end());
-      const std::int64_t p50 = percentile(round.latencies_us, 50);
-      const std::int64_t p95 = percentile(round.latencies_us, 95);
-      const std::int64_t p99 = percentile(round.latencies_us, 99);
+      const std::vector<std::int64_t>& us = round.latencies_us;
+      const std::int64_t p50 = obs::exact_percentile(us, 50);
+      const std::int64_t p95 = obs::exact_percentile(us, 95);
+      const std::int64_t p99 = obs::exact_percentile(us, 99);
       std::printf("%-14s %8zu %10lld %10lld %10lld %7lld %7lld %8.1f%%\n",
                   round.label.c_str(), round.latencies_us.size(),
                   static_cast<long long>(p50), static_cast<long long>(p95),
@@ -467,7 +458,8 @@ int fleet_phase(JsonTrajectory& trajectory) {
       row["hit_rate"] = round.hit_rate();
       rows.push_back(std::move(row));
     }
-    hot_p50_by_size.push_back(percentile(rounds.back().latencies_us, 50));
+    hot_p50_by_size.push_back(
+        obs::exact_percentile(rounds.back().latencies_us, 50));
     hit_rate_by_size.push_back(rounds.back().hit_rate());
 
     obs::Json size_json = obs::Json::object();
@@ -681,12 +673,10 @@ int chaos_phase(JsonTrajectory& trajectory) {
   workers.clear();
   std::filesystem::remove_all(dir);
 
-  std::sort(kill_rec_ms.begin(), kill_rec_ms.end());
-  std::sort(restart_rec_ms.begin(), restart_rec_ms.end());
-  const std::int64_t kill_p50 = percentile(kill_rec_ms, 50);
-  const std::int64_t kill_p95 = percentile(kill_rec_ms, 95);
-  const std::int64_t restart_p50 = percentile(restart_rec_ms, 50);
-  const std::int64_t restart_p95 = percentile(restart_rec_ms, 95);
+  const std::int64_t kill_p50 = obs::exact_percentile(kill_rec_ms, 50);
+  const std::int64_t kill_p95 = obs::exact_percentile(kill_rec_ms, 95);
+  const std::int64_t restart_p50 = obs::exact_percentile(restart_rec_ms, 50);
+  const std::int64_t restart_p95 = obs::exact_percentile(restart_rec_ms, 95);
 
   std::printf("\nchaos: %d kill/restart cycle(s) over %d workers "
               "(breaker threshold 2, 25 ms health probes)\n",
@@ -777,10 +767,9 @@ int body() {
               "p50_us", "p95_us", "p99_us", "hits", "misses", "hit_rate");
   obs::Json rows = obs::Json::array();
   for (RoundResult& round : rounds) {
-    std::sort(round.latencies_us.begin(), round.latencies_us.end());
-    const std::int64_t p50 = percentile(round.latencies_us, 50);
-    const std::int64_t p95 = percentile(round.latencies_us, 95);
-    const std::int64_t p99 = percentile(round.latencies_us, 99);
+    const std::int64_t p50 = obs::exact_percentile(round.latencies_us, 50);
+    const std::int64_t p95 = obs::exact_percentile(round.latencies_us, 95);
+    const std::int64_t p99 = obs::exact_percentile(round.latencies_us, 99);
     std::printf("%-8s %8zu %10lld %10lld %10lld %7lld %7lld %8.1f%%\n",
                 round.label.c_str(), round.latencies_us.size(),
                 static_cast<long long>(p50), static_cast<long long>(p95),
@@ -801,11 +790,10 @@ int body() {
   }
 
   // Headline: the cache's p50 speedup on hot keys vs the cold compile.
-  std::sort(rounds.front().latencies_us.begin(),
-            rounds.front().latencies_us.end());
-  const std::int64_t cold_p50 = percentile(rounds.front().latencies_us, 50);
+  const std::int64_t cold_p50 =
+      obs::exact_percentile(rounds.front().latencies_us, 50);
   const std::int64_t hot_p50 =
-      percentile(rounds.back().latencies_us, 50);
+      obs::exact_percentile(rounds.back().latencies_us, 50);
   const double speedup =
       hot_p50 > 0 ? static_cast<double>(cold_p50) /
                         static_cast<double>(hot_p50)

@@ -57,6 +57,7 @@
 
 #include "bench_util.h"
 #include "obs/json_report.h"
+#include "obs/metrics.h"
 #include "sdf/io.h"
 #include "service/client.h"
 #include "service/control.h"
@@ -93,13 +94,6 @@ bool env_switch(const char* name, bool fallback) {
   if (text == "1") return true;
   std::fprintf(stderr, "usage: %s must be 0 or 1, got '%s'\n", name, value);
   std::exit(2);
-}
-
-std::int64_t percentile(std::vector<std::int64_t> sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sorted_us.size() - 1) + 0.5);
-  return sorted_us[std::min(idx, sorted_us.size() - 1)];
 }
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants); the whole synthesized
@@ -435,8 +429,7 @@ LiveResult replay_live(const svc::Trace& trace, const std::string& dir,
   server.stop();
   runner.join();
 
-  std::sort(light_us.begin(), light_us.end());
-  result.light_p95_us = percentile(light_us, 95);
+  result.light_p95_us = obs::exact_percentile(light_us, 95);
   return result;
 }
 

@@ -73,12 +73,23 @@ Span::Span(std::string_view name) {
   if (!s.enabled.load(std::memory_order_relaxed)) return;
   SpanRecord rec;
   rec.name.assign(name);
-  rec.depth = tls_depth++;
+  rec.depth = tls_depth;
   rec.thread = thread_ordinal();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  rec.start_ns = ns_since(s.epoch);
-  index_ = static_cast<std::ptrdiff_t>(s.spans.size());
-  s.spans.push_back(std::move(rec));
+  {
+    const std::lock_guard<std::mutex> lock(s.mu);
+    if (s.spans.size() < kMaxSpans) {
+      rec.start_ns = ns_since(s.epoch);
+      index_ = static_cast<std::ptrdiff_t>(s.spans.size());
+      s.spans.push_back(std::move(rec));
+    }
+  }
+  if (index_ < 0) {
+    // Dropping the newest span (not the oldest) keeps every open span's
+    // index valid.
+    count("obs.spans_dropped");
+    return;
+  }
+  ++tls_depth;
 }
 
 Span::~Span() {

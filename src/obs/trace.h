@@ -7,8 +7,9 @@
 //
 // Thread safety: the session is safe to record into from multiple threads
 // (the parallel design-space exploration does exactly that). Span storage
-// is mutex-guarded; nesting depth is tracked per thread, so spans opened
-// on a worker thread nest against that worker's own scopes. Each record
+// is mutex-guarded and capped at kMaxSpans; nesting depth is tracked per
+// thread, so spans opened on a worker thread nest against that worker's
+// own scopes. Each record
 // carries a small per-thread ordinal (`thread`) so reports can attribute
 // work to workers. The *read* side (`spans()`) is intended for use after
 // parallel work has been joined — readers are not synchronized against
@@ -29,6 +30,12 @@
 #include <vector>
 
 namespace sdf::obs {
+
+/// Most spans one session holds. Past it a Span records nothing and
+/// counts `obs.spans_dropped` instead, so a long `serve --trace` run
+/// holds bounded span storage. The largest span count any test or
+/// bench trajectory produces is far below it (docs/OBSERVABILITY.md).
+inline constexpr std::size_t kMaxSpans = std::size_t{1} << 18;
 
 /// True when the telemetry session is collecting spans and counters.
 [[nodiscard]] bool enabled() noexcept;

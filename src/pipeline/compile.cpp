@@ -160,7 +160,8 @@ CompileResult compile_with_order(const Graph& g,
     // The graceful-degradation ladder: when a governor budget (or an
     // injected fault) trips inside an optimizer, retry with the next
     // cheaper rung. kFlat never consults the governor, so the ladder
-    // always terminates with a valid schedule.
+    // always terminates with a valid schedule. (simulate() below checks
+    // the deadline only on periods of more than 2^22 firings.)
     LoopOptimizer rung = options.optimizer;
     result.effective_optimizer = rung;
     for (;;) {

@@ -260,7 +260,8 @@ ExploreResult explore_designs(const Graph& g, const ExploreOptions& options) {
       if (!got && options.watchdog_requeue &&
           tasks[i].optimizer != LoopOptimizer::kFlat) {
         // Ladder floor: kFlat never consults the governor, so the requeued
-        // attempt cannot trip the same deadline again.
+        // attempt cannot trip the same deadline again (unless its period
+        // has more than 2^22 firings for simulate() to walk).
         const TaskSpec degraded{tasks[i].order, LoopOptimizer::kFlat,
                                 tasks[i].budget};
         got = run_attempt(kWatchdogSalt + i, i, degraded);

@@ -4,16 +4,48 @@
 #include <numeric>
 #include <sstream>
 
+#include "pipeline/governor.h"
+#include "util/status.h"
+
 namespace sdf {
 namespace {
 
+/// Firings between two deadline checks of the installed governor.
+constexpr std::int64_t kDeadlineStride = 4096;
+
+/// Periods of at most this many firings (about 0.1 s unoptimised) are
+/// always walked to the end, deadline or not.
+constexpr std::int64_t kUncheckedFirings = std::int64_t{1} << 22;
+
 /// Shared walker: fires actors in schedule order, calling `on_fire(actor)`
 /// after each successful firing. Returns false (with `error`) on underflow.
+/// A period longer than kUncheckedFirings checks the thread's governor
+/// every kDeadlineStride firings and throws ResourceExhaustedError once its
+/// deadline has passed. Shorter periods never check, so a compile that the
+/// degradation ladder stepped down to kFlat past its deadline still
+/// finishes with a valid result. The check reads the deadline directly:
+/// governor_checkpoint() would also fire the injected dp_deadline fault,
+/// and the simulation runs after the ladder has settled.
 template <typename OnFire>
 bool run_schedule(const Graph& g, const Schedule& s,
                   std::vector<std::int64_t>& tokens, std::string& error,
                   OnFire&& on_fire) {
+  // total_firings() also throws on a period past INT64_MAX firings.
+  const ResourceGovernor* governor = s.total_firings() > kUncheckedFirings
+                                         ? ResourceGovernor::current()
+                                         : nullptr;
+  std::int64_t until_check = kDeadlineStride;
   auto fire = [&](ActorId a) -> bool {
+    if (governor != nullptr && --until_check == 0) {
+      until_check = kDeadlineStride;
+      if (governor->deadline_expired()) {
+        throw ResourceExhaustedError(
+            "sched.simulate: deadline of " +
+            std::to_string(governor->budget().deadline_ms) +
+            " ms exceeded (" + std::to_string(governor->elapsed_ms()) +
+            " ms elapsed)");
+      }
+    }
     for (EdgeId eid : g.in_edges(a)) {
       const Edge& e = g.edge(eid);
       if (tokens[static_cast<std::size_t>(eid)] < e.cns) {
@@ -54,8 +86,6 @@ bool run_schedule(const Graph& g, const Schedule& s,
 }  // namespace
 
 SimulationResult simulate(const Graph& g, const Schedule& s) {
-  // A period past INT64_MAX firings can neither run nor be counted.
-  static_cast<void>(s.total_firings());
   SimulationResult result;
   std::vector<std::int64_t> tokens(g.num_edges());
   for (std::size_t e = 0; e < g.num_edges(); ++e) {

@@ -35,7 +35,9 @@ struct SimulationResult {
 
 /// Simulates one period. Always runs to the end of the schedule or the
 /// first violation. Cost: O(total firings * average degree). Throws
-/// ArithmeticOverflowError when the firing count overflows int64.
+/// ArithmeticOverflowError when the firing count overflows int64, and
+/// ResourceExhaustedError when a period of more than 2^22 firings outruns
+/// the installed governor's deadline (shorter periods always finish).
 [[nodiscard]] SimulationResult simulate(const Graph& g, const Schedule& s);
 
 /// True iff `s` is a valid schedule: simulation succeeds, every actor fires

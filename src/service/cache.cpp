@@ -11,7 +11,6 @@
 #include <fstream>
 #include <utility>
 
-#include "obs/counters.h"
 #include "obs/json_report.h"
 #include "service/protocol.h"
 #include "util/crc32.h"
@@ -121,7 +120,6 @@ ResultCache::ResultCache(const std::string& dir) : dir_(dir) {
     header["schema"] = std::string(kIndexSchema);
     writer_.emplace(util::JournalWriter::create(index_path, header.dump()));
   }
-  stats_.entries = static_cast<std::int64_t>(entries_.size());
   } catch (...) {
     ::close(lock_fd_);
     lock_fd_ = -1;
@@ -144,7 +142,6 @@ std::optional<std::string> ResultCache::lookup(std::uint64_t key) {
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
       ++stats_.misses;
-      obs::count("service.cache.misses");
       return std::nullopt;
     }
     entry = it->second;
@@ -156,17 +153,11 @@ std::optional<std::string> ResultCache::lookup(std::uint64_t key) {
   if (!valid) {
     // Corrupt or vanished object: drop the entry so the caller
     // recompiles and re-inserts. Never serve unverified bytes.
-    if (entries_.erase(key) > 0) {
-      ++stats_.corrupt;
-      obs::count("service.cache.corrupt");
-    }
+    if (entries_.erase(key) > 0) ++stats_.corrupt;
     ++stats_.misses;
-    obs::count("service.cache.misses");
-    stats_.entries = static_cast<std::int64_t>(entries_.size());
     return std::nullopt;
   }
   ++stats_.hits;
-  obs::count("service.cache.hits");
   return data;
 }
 
@@ -206,8 +197,6 @@ void ResultCache::insert(std::uint64_t key, std::string_view payload) {
   entry.bytes = payload.size();
   entries_[key] = entry;
   ++stats_.inserts;
-  stats_.entries = static_cast<std::int64_t>(entries_.size());
-  obs::count("service.cache.inserts");
 }
 
 std::vector<std::uint64_t> ResultCache::scrub_once() {
@@ -239,9 +228,7 @@ std::vector<std::uint64_t> ResultCache::scrub_once() {
       }
       entries_.erase(it);
       ++stats_.scrub_quarantined;
-      stats_.entries = static_cast<std::int64_t>(entries_.size());
     }
-    obs::count("service.cache.scrub_quarantined");
     // Quarantine, don't delete: the corrupt bytes are forensic evidence
     // (which bit flipped? repeated sector?). The index entry is already
     // gone, so a failed rename just leaves an orphan object — wasted
@@ -261,7 +248,6 @@ std::vector<std::uint64_t> ResultCache::scrub_once() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.scrub_passes;
   }
-  obs::count("service.cache.scrub_passes");
   return quarantined;
 }
 
@@ -272,7 +258,9 @@ std::size_t ResultCache::size() const {
 
 CacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  CacheStats out = stats_;
+  out.entries = static_cast<std::int64_t>(entries_.size());
+  return out;
 }
 
 }  // namespace sdf::svc

@@ -6,38 +6,39 @@
 #include <set>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "service/protocol.h"
 
 namespace sdf::svc::ctl {
-namespace {
 
-/// Ladder rank, mirroring the server's shed mapping; higher = more
-/// expensive.
-int optimizer_rank(LoopOptimizer opt) noexcept {
-  switch (opt) {
-    case LoopOptimizer::kChainExact: return 3;
-    case LoopOptimizer::kSdppo: return 2;
-    case LoopOptimizer::kDppo: return 1;
-    case LoopOptimizer::kFlat: return 0;
+bool shed_to_tier(CompileOptions& options,
+                  qos::AdmissionController::PressureTier tier) noexcept {
+  using Tier = qos::AdmissionController::PressureTier;
+  if (tier == Tier::kNormal) return false;
+  // Ladder rank; higher = more expensive.
+  const auto rank = [](LoopOptimizer opt) {
+    switch (opt) {
+      case LoopOptimizer::kChainExact: return 3;
+      case LoopOptimizer::kSdppo: return 2;
+      case LoopOptimizer::kDppo: return 1;
+      case LoopOptimizer::kFlat: return 0;
+    }
+    return 0;
+  };
+  const LoopOptimizer cap =
+      tier == Tier::kCapped ? LoopOptimizer::kDppo : LoopOptimizer::kFlat;
+  bool changed = false;
+  if (rank(options.optimizer) > rank(cap)) {
+    options.optimizer = cap;
+    changed = true;
   }
-  return 0;
+  if (tier == Tier::kDegraded &&
+      options.order != OrderHeuristic::kTopological) {
+    options.order = OrderHeuristic::kTopological;
+    changed = true;
+  }
+  return changed;
 }
-
-/// Exact percentile over raw sample values (the simulator keeps every
-/// latency, unlike the server's bucketed histogram). p in [0, 100].
-std::int64_t exact_percentile_us(std::vector<std::int64_t> samples,
-                                 double p) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size());
-  std::size_t idx = static_cast<std::size_t>(rank);
-  if (static_cast<double>(idx) < rank) ++idx;
-  if (idx > 0) --idx;
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return samples[idx];
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // CostModel
@@ -232,7 +233,7 @@ std::string Controller::decision_line(std::int64_t tick_index,
 
 namespace {
 
-enum class Tier { kNormal, kCapped, kDegraded };
+using Tier = qos::AdmissionController::PressureTier;
 
 /// Per-record precomputation: what a degraded tier would change, and the
 /// service time it would take.
@@ -279,12 +280,10 @@ SimResult simulate_trace(const Trace& trace, const SimOptions& options) {
     Result<CompileRequest> parsed = parse_compile_request(rec.request);
     if (parsed.ok() && !rec.key_hex.empty()) {
       sr.parseable = true;
-      const CompileOptions& o = parsed.value().options;
-      sr.capped_changes =
-          optimizer_rank(o.optimizer) > optimizer_rank(LoopOptimizer::kDppo);
-      sr.degraded_changes =
-          optimizer_rank(o.optimizer) > 0 ||
-          o.order != OrderHeuristic::kTopological;
+      CompileOptions capped = parsed.value().options;
+      CompileOptions degraded = capped;
+      sr.capped_changes = shed_to_tier(capped, Tier::kCapped);
+      sr.degraded_changes = shed_to_tier(degraded, Tier::kDegraded);
     }
     sr.wall_full_ns = std::max<std::int64_t>(rec.wall_ns, 1000);
     sr.wall_capped_ns =
@@ -366,18 +365,18 @@ SimResult simulate_trace(const Trace& trace, const SimOptions& options) {
   };
 
   const auto flush_interval = [&](std::int64_t end_us) {
+    win.p95_us = obs::exact_percentile(win_latencies, 95);
     SimIntervalRow row;
     row.end_ms = end_us / 1000;
     row.requests = win.requests;
     row.overloaded = win.overloaded;
     row.shed_degraded = win.shed_degraded;
     row.cache_hits = win.cache_hits;
-    row.p95_us = exact_percentile_us(win_latencies, 95);
+    row.p95_us = win.p95_us;
     out.intervals.push_back(row);
   };
 
   const auto do_tick = [&](std::int64_t tick_us) {
-    win.p95_us = exact_percentile_us(win_latencies, 95);
     flush_interval(tick_us);
     if (options.controller_on) {
       const Decision d = controller.tick(win);
@@ -518,7 +517,6 @@ SimResult simulate_trace(const Trace& trace, const SimOptions& options) {
   if (win.requests > 0 || !win_latencies.empty()) {
     flush_interval(next_tick_us);
     if (options.controller_on) {
-      win.p95_us = exact_percentile_us(win_latencies, 95);
       // The trailing partial window still gets a decision line so two
       // replays agree on the complete log, not just its prefix.
       const Decision d = controller.tick(win);
@@ -526,13 +524,13 @@ SimResult simulate_trace(const Trace& trace, const SimOptions& options) {
     }
   }
 
-  out.p50_us = exact_percentile_us(all_latencies, 50);
-  out.p95_us = exact_percentile_us(all_latencies, 95);
+  out.p50_us = obs::exact_percentile(all_latencies, 50);
+  out.p95_us = obs::exact_percentile(all_latencies, 95);
   for (auto& [name, totals] : out.tenants) {
     const auto it = tenant_latencies.find(name);
     if (it == tenant_latencies.end()) continue;
-    totals.p50_us = exact_percentile_us(it->second, 50);
-    totals.p95_us = exact_percentile_us(it->second, 95);
+    totals.p50_us = obs::exact_percentile(it->second, 50);
+    totals.p95_us = obs::exact_percentile(it->second, 95);
   }
   out.final_knobs = knobs;
   return out;

@@ -52,10 +52,19 @@
 #include <string>
 #include <vector>
 
+#include "pipeline/compile.h"
 #include "service/qos.h"
 #include "service/trace.h"
 
 namespace sdf::svc::ctl {
+
+/// Load shedding (docs/TENANCY.md): caps `options` to a pressure tier's
+/// rung of the degradation ladder. kCapped allows at most kDppo;
+/// kDegraded forces kFlat and the topological order. True when the
+/// options changed. The server sheds with it, and the trace simulator
+/// uses it to tell which requests a tier degrades.
+bool shed_to_tier(CompileOptions& options,
+                  qos::AdmissionController::PressureTier tier) noexcept;
 
 // ---------------------------------------------------------------------------
 // Cost model

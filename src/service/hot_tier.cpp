@@ -1,6 +1,5 @@
 #include "service/hot_tier.h"
 
-#include "obs/counters.h"
 #include "util/fault.h"
 
 namespace sdf::svc {
@@ -9,24 +8,18 @@ HotTier::HotTier(std::int64_t capacity_bytes)
     : capacity_(capacity_bytes > 0 ? capacity_bytes : 0) {}
 
 std::optional<std::string> HotTier::lookup(std::uint64_t key) {
-  if (fault::enabled() && fault::should_fail("svc_cache_read")) {
-    // Injected: the resident copy is unusable — degrade to the disk
-    // tier exactly like a capacity miss.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    obs::count("service.cache.hot_misses");
-    return std::nullopt;
-  }
+  // An injected svc_cache_read fault makes the resident copy unusable:
+  // the lookup degrades to the disk tier exactly like a capacity miss.
+  const bool unusable =
+      fault::enabled() && fault::should_fail("svc_cache_read");
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
+  const auto it = unusable ? index_.end() : index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    obs::count("service.cache.hot_misses");
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh to MRU
   ++stats_.hits;
-  obs::count("service.cache.hot_hits");
   return it->second->payload;
 }
 
@@ -43,10 +36,7 @@ void HotTier::insert(std::uint64_t key, std::string_view payload) {
   lru_.push_front(Entry{key, std::string(payload)});
   index_[key] = lru_.begin();
   stats_.bytes += size;
-  stats_.entries = static_cast<std::int64_t>(lru_.size());
   ++stats_.inserts;
-  obs::count("service.cache.hot_inserts");
-  obs::gauge("service.cache.hot_bytes", stats_.bytes);
 }
 
 bool HotTier::erase(std::uint64_t key) {
@@ -56,10 +46,7 @@ bool HotTier::erase(std::uint64_t key) {
   stats_.bytes -= static_cast<std::int64_t>(it->second->payload.size());
   lru_.erase(it->second);
   index_.erase(it);
-  stats_.entries = static_cast<std::int64_t>(lru_.size());
   ++stats_.evictions;
-  obs::count("service.cache.hot_evictions");
-  obs::gauge("service.cache.hot_bytes", stats_.bytes);
   return true;
 }
 
@@ -70,15 +57,14 @@ void HotTier::evict_to_fit_locked(std::int64_t incoming) {
     index_.erase(victim.key);
     lru_.pop_back();
     ++stats_.evictions;
-    obs::count("service.cache.hot_evictions");
   }
-  stats_.entries = static_cast<std::int64_t>(lru_.size());
-  obs::gauge("service.cache.hot_bytes", stats_.bytes);
 }
 
 HotTierStats HotTier::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  HotTierStats out = stats_;
+  out.entries = static_cast<std::int64_t>(lru_.size());
+  return out;
 }
 
 }  // namespace sdf::svc

@@ -12,8 +12,8 @@
 // never admitted. A capacity of 0 disables the tier (every lookup
 // misses, inserts drop).
 //
-// Counters (docs/OBSERVABILITY.md): service.cache.hot_hits / hot_misses /
-// hot_inserts / hot_evictions, gauge service.cache.hot_bytes.
+// Counters: HotTierStats, kept under the LRU lock. A server reports them
+// as service.cache.hot_* (docs/OBSERVABILITY.md).
 //
 // Thread safety: all methods are safe from concurrent request handlers.
 #pragma once
@@ -56,7 +56,7 @@ class HotTier {
 
   /// Drops `key` if resident (the cache scrubber quarantined its disk
   /// object, so the hot copy must not outlive it). Returns true when an
-  /// entry was removed; counted in service.cache.hot_evictions.
+  /// entry was removed; counted in HotTierStats::evictions.
   bool erase(std::uint64_t key);
 
   [[nodiscard]] std::int64_t capacity_bytes() const noexcept {

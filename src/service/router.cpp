@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/counters.h"
 #include "obs/json_report.h"
 #include "sdf/diagnostics.h"
 #include "sdf/io.h"
@@ -65,9 +64,10 @@ std::string_view breaker_state_name(BreakerState s) noexcept {
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       ring_(options_.vnodes),
-      host_("route", "service.route.bad_frames",
+      host_("route",
             {[this](int fd, const Frame& frame) { handle_frame(fd, frame); },
              [this](int fd, const Diagnostic& diag) { send_error(fd, diag); },
+             [this] { metrics_.add(RouterMetric::kBadFrames); },
              {}}) {
   if (options_.workers.empty()) {
     throw BadArgumentError("route: no workers configured (need --worker)");
@@ -83,6 +83,8 @@ Router::Router(RouterOptions options)
     workers_.emplace(cfg.id, std::move(st));
     ring_.add(cfg.id);
   }
+  metrics_.set(RouterMetric::kWorkersAlive,
+               static_cast<std::int64_t>(workers_.size()));
 }
 
 Router::~Router() {
@@ -121,11 +123,7 @@ void Router::handle_frame(int fd, const Frame& frame) {
 }
 
 void Router::handle_route(int fd, std::string_view payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests;
-  }
-  obs::count("service.route.requests");
+  metrics_.add(RouterMetric::kRequests);
 
   // The router rejects what every worker would reject — same parser —
   // instead of burning a forward on a malformed request.
@@ -211,9 +209,7 @@ void Router::route_with_failover(int fd, std::string_view payload,
     const auto reroute_after = [&](const std::string& id, bool failed) {
       if (failed) record_failure(id);
       excluded.push_back(id);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rerouted;
-      obs::count("service.route.rerouted");
+      metrics_.add(RouterMetric::kRerouted);
     };
     const int raw_fd = worker_connect(owner);
     if (raw_fd < 0) {
@@ -240,11 +236,7 @@ void Router::route_with_failover(int fd, std::string_view payload,
           !reply->payload.empty()) {
         // Shard hit: the owner's cache already had the bytes.
         record_success(owner);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.lookup_hits;
-        }
-        obs::count("service.route.lookup_hits");
+        metrics_.add(RouterMetric::kLookupHits);
         send_frame(fd, FrameKind::kCompileResponse, reply->payload);
         return;
       }
@@ -307,20 +299,14 @@ void Router::route_with_failover(int fd, std::string_view payload,
           // its ack. A failed warm still serves the client; the next
           // request just probes again.
           record_success(peer);
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.peer_hits;
-          }
-          obs::count("service.route.peer_hits");
+          metrics_.add(RouterMetric::kPeerHits);
           const std::optional<Frame> warm = worker_roundtrip(
               wfd.get(), FrameKind::kPeerInsertRequest,
               encode_peer_insert(key, probe->payload));
           if (warm.has_value() &&
               warm->kind == FrameKind::kPeerInsertResponse) {
             record_success(owner);
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.warms;
-            obs::count("service.route.warms");
+            metrics_.add(RouterMetric::kWarms);
           } else if (!warm.has_value()) {
             record_failure(owner);
           }
@@ -340,21 +326,16 @@ void Router::route_with_failover(int fd, std::string_view payload,
       continue;
     }
     record_success(owner);
+    metrics_.add(RouterMetric::kCompiles);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.compiles;
       ++workers_[owner].forwarded;
     }
-    obs::count("service.route.compiles");
     send_frame(fd, reply->kind, reply->payload);
     return;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.unavailable;
-  }
-  obs::count("service.route.unavailable");
+  metrics_.add(RouterMetric::kUnavailable);
   Diagnostic diag;
   diag.code = ErrorCode::kUnavailable;
   diag.message = "no live worker: all " +
@@ -400,80 +381,57 @@ int Router::worker_connect(const std::string& id) {
 }
 
 void Router::record_failure(const std::string& id) {
-  bool opened = false;
-  bool reopened = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = workers_.find(id);
-    if (it == workers_.end()) return;
-    WorkerState& st = it->second;
-    ++st.failures;
-    ++st.consecutive_failures;
-    st.trial_inflight = false;
-    if (st.breaker == BreakerState::kHalfOpen) {
-      // The trial failed: straight back to open, no threshold grace.
-      st.breaker = BreakerState::kOpen;
-      ++stats_.worker_down;
-      ++stats_.breaker_reopen;
-      reopened = true;
-    } else if (st.breaker == BreakerState::kClosed &&
-               st.consecutive_failures >= options_.breaker_threshold) {
-      st.breaker = BreakerState::kOpen;
-      ++stats_.worker_down;
-      opened = true;
-    }
-    note_workers_alive_locked();
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = workers_.find(id);
+  if (it == workers_.end()) return;
+  WorkerState& st = it->second;
+  ++st.failures;
+  ++st.consecutive_failures;
+  st.trial_inflight = false;
+  if (st.breaker == BreakerState::kHalfOpen) {
+    // The trial failed: straight back to open, no threshold grace.
+    st.breaker = BreakerState::kOpen;
+    metrics_.add(RouterMetric::kWorkerDown);
+    metrics_.add(RouterMetric::kBreakerReopen);
+  } else if (st.breaker == BreakerState::kClosed &&
+             st.consecutive_failures >= options_.breaker_threshold) {
+    st.breaker = BreakerState::kOpen;
+    metrics_.add(RouterMetric::kWorkerDown);
+    metrics_.add(RouterMetric::kBreakerOpen);
   }
-  if (opened) {
-    obs::count("service.route.worker_down");
-    obs::count("service.route.breaker_open");
-  }
-  if (reopened) {
-    obs::count("service.route.worker_down");
-    obs::count("service.route.breaker_reopen");
-  }
+  note_workers_alive_locked();
 }
 
 void Router::record_success(const std::string& id) {
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = workers_.find(id);
-    if (it == workers_.end()) return;
-    WorkerState& st = it->second;
-    st.consecutive_failures = 0;
-    st.trial_inflight = false;
-    if (st.breaker == BreakerState::kHalfOpen) {
-      st.breaker = BreakerState::kClosed;
-      ++stats_.breaker_close;
-      closed = true;
-    }
-    note_workers_alive_locked();
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = workers_.find(id);
+  if (it == workers_.end()) return;
+  WorkerState& st = it->second;
+  st.consecutive_failures = 0;
+  st.trial_inflight = false;
+  if (st.breaker == BreakerState::kHalfOpen) {
+    st.breaker = BreakerState::kClosed;
+    metrics_.add(RouterMetric::kBreakerClose);
   }
-  if (closed) obs::count("service.route.breaker_close");
+  note_workers_alive_locked();
 }
 
 void Router::note_probe_success(const std::string& id) {
-  bool half = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = workers_.find(id);
-    if (it == workers_.end()) return;
-    WorkerState& st = it->second;
-    if (st.breaker == BreakerState::kOpen) {
-      st.breaker = BreakerState::kHalfOpen;
-      st.trial_inflight = false;
-      ++stats_.breaker_half_open;
-      half = true;
-      note_workers_alive_locked();
-    } else if (st.breaker == BreakerState::kClosed) {
-      // A healthy probe wipes the streak so sporadic request failures
-      // spread over time never accumulate to a spurious open.
-      st.consecutive_failures = 0;
-    }
-    // Half-open: leave it alone — the in-flight trial request decides.
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = workers_.find(id);
+  if (it == workers_.end()) return;
+  WorkerState& st = it->second;
+  if (st.breaker == BreakerState::kOpen) {
+    st.breaker = BreakerState::kHalfOpen;
+    st.trial_inflight = false;
+    metrics_.add(RouterMetric::kBreakerHalfOpen);
+    note_workers_alive_locked();
+  } else if (st.breaker == BreakerState::kClosed) {
+    // A healthy probe wipes the streak so sporadic request failures
+    // spread over time never accumulate to a spurious open.
+    st.consecutive_failures = 0;
   }
-  if (half) obs::count("service.route.breaker_half_open");
+  // Half-open: leave it alone — the in-flight trial request decides.
 }
 
 void Router::note_workers_alive_locked() {
@@ -481,7 +439,7 @@ void Router::note_workers_alive_locked() {
   for (const auto& [id, st] : workers_) {
     if (st.breaker != BreakerState::kOpen) ++alive;
   }
-  obs::gauge("service.route.workers_alive", alive);
+  metrics_.set(RouterMetric::kWorkersAlive, alive);
 }
 
 void Router::health_loop() {
@@ -540,21 +498,30 @@ void Router::health_check_once() {
 }
 
 void Router::send_error(int fd, const Diagnostic& diag) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.errors;
-  }
-  obs::count("service.route.errors");
+  metrics_.add(RouterMetric::kErrors);
   obs::Json doc = obs::Json::object();
   doc["error"] = diagnostic_to_json(diag);
   send_frame(fd, FrameKind::kErrorResponse, doc.dump(2));
 }
 
 RouterStats Router::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  RouterStats out = stats_;
+  RouterStats out;
+  out.requests = metrics_.get(RouterMetric::kRequests);
   out.connections = host_.connections();
-  out.bad_frames = host_.bad_frames();
+  out.bad_frames = metrics_.get(RouterMetric::kBadFrames);
+  out.errors = metrics_.get(RouterMetric::kErrors);
+  out.lookup_hits = metrics_.get(RouterMetric::kLookupHits);
+  out.peer_hits = metrics_.get(RouterMetric::kPeerHits);
+  out.warms = metrics_.get(RouterMetric::kWarms);
+  out.compiles = metrics_.get(RouterMetric::kCompiles);
+  out.rerouted = metrics_.get(RouterMetric::kRerouted);
+  out.unavailable = metrics_.get(RouterMetric::kUnavailable);
+  out.worker_down = metrics_.get(RouterMetric::kWorkerDown);
+  out.breaker_open = metrics_.get(RouterMetric::kBreakerOpen);
+  out.breaker_half_open = metrics_.get(RouterMetric::kBreakerHalfOpen);
+  out.breaker_close = metrics_.get(RouterMetric::kBreakerClose);
+  out.breaker_reopen = metrics_.get(RouterMetric::kBreakerReopen);
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, st] : workers_) {
     RouterWorkerStats ws;
     ws.endpoint = st.cfg.endpoint.name();
@@ -573,24 +540,14 @@ std::string Router::stats_json() const {
   const RouterStats snapshot = stats();
   obs::Json doc = obs::Json::object();
   doc["schema"] = "sdfmem.routestats.v1";
-  doc["requests"] = snapshot.requests;
   doc["connections"] = snapshot.connections;
-  doc["bad_frames"] = snapshot.bad_frames;
-  doc["errors"] = snapshot.errors;
-  doc["lookup_hits"] = snapshot.lookup_hits;
-  doc["peer_hits"] = snapshot.peer_hits;
-  doc["warms"] = snapshot.warms;
-  doc["compiles"] = snapshot.compiles;
-  doc["rerouted"] = snapshot.rerouted;
-  doc["unavailable"] = snapshot.unavailable;
-  doc["worker_down"] = snapshot.worker_down;
-  doc["breaker_half_open"] = snapshot.breaker_half_open;
-  doc["breaker_close"] = snapshot.breaker_close;
-  doc["breaker_reopen"] = snapshot.breaker_reopen;
-  std::int64_t alive = 0;
+  // Every registry metric, under its name without the prefix.
+  constexpr std::string_view kPrefix = "service.route.";
+  for (std::size_t m = 0; m < RouterMetric::kCount; ++m) {
+    doc[kRouterMetrics[m].name.substr(kPrefix.size())] = metrics_.get(m);
+  }
   obs::Json workers = obs::Json::object();
   for (const auto& [id, ws] : snapshot.workers) {
-    if (ws.alive) ++alive;
     obs::Json w = obs::Json::object();
     w["endpoint"] = ws.endpoint;
     w["alive"] = ws.alive;
@@ -602,7 +559,6 @@ std::string Router::stats_json() const {
     w["failures"] = ws.failures;
     workers[id] = std::move(w);
   }
-  doc["workers_alive"] = alive;
   doc["workers"] = std::move(workers);
   return doc.dump(2);
 }

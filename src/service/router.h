@@ -47,13 +47,12 @@
 // `peer_support = false` and served by plain forwarding — version
 // negotiation by behaviour, like the v2 tenancy schema.
 //
-// Counters (docs/OBSERVABILITY.md): service.route.requests /
-// lookup_hits / peer_hits / warms / compiles / rerouted / worker_down /
-// unavailable / breaker_open / breaker_half_open / breaker_close /
-// breaker_reopen, gauge service.route.workers_alive.
+// Metrics (docs/OBSERVABILITY.md): kRouterMetrics, counted once each in
+// a lock-free obs::Registry that stats() reads.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -62,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "service/protocol.h"
 #include "service/ring.h"
 #include "service/transport.h"
@@ -115,6 +115,26 @@ struct RouterWorkerStats {
   std::int64_t failures = 0;   ///< connect/timeout/torn-reply events
 };
 
+/// Router registry slots, in kRouterMetrics order.
+struct RouterMetric {
+  enum : std::size_t {
+    kRequests, kErrors, kBadFrames, kLookupHits, kPeerHits, kWarms,
+    kCompiles, kRerouted, kUnavailable, kWorkerDown, kBreakerOpen,
+    kBreakerHalfOpen, kBreakerClose, kBreakerReopen, kWorkersAlive, kCount
+  };
+};
+
+inline constexpr obs::MetricDef kRouterMetrics[] = {
+    {"service.route.requests"}, {"service.route.errors"},
+    {"service.route.bad_frames"}, {"service.route.lookup_hits"},
+    {"service.route.peer_hits"}, {"service.route.warms"},
+    {"service.route.compiles"}, {"service.route.rerouted"},
+    {"service.route.unavailable"}, {"service.route.worker_down"},
+    {"service.route.breaker_open"}, {"service.route.breaker_half_open"},
+    {"service.route.breaker_close"}, {"service.route.breaker_reopen"},
+    {"service.route.workers_alive", obs::MetricKind::kGauge}};
+static_assert(std::size(kRouterMetrics) == RouterMetric::kCount);
+
 struct RouterStats {
   std::int64_t requests = 0;
   std::int64_t connections = 0;
@@ -127,6 +147,7 @@ struct RouterStats {
   std::int64_t rerouted = 0;     ///< owner failed mid-request, retried
   std::int64_t unavailable = 0;  ///< requests failed: no live worker
   std::int64_t worker_down = 0;  ///< breaker closed/half-open -> open
+  std::int64_t breaker_open = 0;       ///< closed -> open (threshold)
   std::int64_t breaker_half_open = 0;  ///< open -> half-open (probe)
   std::int64_t breaker_close = 0;      ///< half-open -> closed (trial ok)
   std::int64_t breaker_reopen = 0;     ///< half-open -> open (trial bad)
@@ -219,9 +240,9 @@ class Router {
 
   std::thread health_;
 
-  mutable std::mutex mu_;  ///< workers_ + stats_
+  obs::Registry metrics_{kRouterMetrics};
+  mutable std::mutex mu_;  ///< workers_
   std::map<std::string, WorkerState> workers_;
-  RouterStats stats_;
 
   /// Last member: destroyed first, so connection threads are joined
   /// while everything they touch is still alive.

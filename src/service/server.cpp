@@ -1,11 +1,11 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <utility>
 #include <vector>
 
-#include "obs/counters.h"
 #include "obs/json_report.h"
 #include "obs/trace.h"
 #include "sdf/diagnostics.h"
@@ -16,64 +16,49 @@
 namespace sdf::svc {
 namespace {
 
-/// Ladder rank for load-shed capping; higher = more expensive.
-int optimizer_rank(LoopOptimizer opt) noexcept {
-  switch (opt) {
-    case LoopOptimizer::kChainExact: return 3;
-    case LoopOptimizer::kSdppo: return 2;
-    case LoopOptimizer::kDppo: return 1;
-    case LoopOptimizer::kFlat: return 0;
-  }
-  return 0;
+obs::Json latency_json(const obs::HistogramSnapshot& h) {
+  obs::Json out = obs::Json::object();
+  out["count"] = h.count;
+  out["sum_us"] = h.sum;
+  out["p50_us"] = h.percentile(50);
+  out["p95_us"] = h.percentile(95);
+  out["p99_us"] = h.percentile(99);
+  return out;
+}
+
+obs::Json map_json(const std::map<std::string, std::int64_t>& values) {
+  obs::Json out = obs::Json::object();
+  for (const auto& [name, value] : values) out[name] = value;
+  return out;
+}
+
+std::vector<std::string> names_of(const qos::TenantRegistry& registry) {
+  std::vector<std::string> names;
+  for (const auto& entry : registry.tenants()) names.push_back(entry.first);
+  return names;
 }
 
 }  // namespace
 
-void LatencyHistogram::record(std::int64_t us) noexcept {
-  std::size_t i = 0;
-  while (i < kLatencyBucketUs.size() && us > kLatencyBucketUs[i]) ++i;
-  ++buckets[i];
-  ++count;
-  sum_us += us;
-}
-
-LatencyHistogram LatencyHistogram::delta_since(
-    const LatencyHistogram& earlier) const noexcept {
-  LatencyHistogram delta;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    delta.buckets[i] = buckets[i] - earlier.buckets[i];
-  }
-  delta.count = count - earlier.count;
-  delta.sum_us = sum_us - earlier.sum_us;
-  return delta;
-}
-
-std::int64_t LatencyHistogram::percentile_us(double p) const noexcept {
-  if (count <= 0) return 0;
-  const double target = p / 100.0 * static_cast<double>(count);
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (static_cast<double>(seen) >= target) {
-      return i < kLatencyBucketUs.size() ? kLatencyBucketUs[i]
-                                         : kLatencyBucketUs.back() * 10;
-    }
-  }
-  return kLatencyBucketUs.back() * 10;
-}
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
+      tenant_names_(names_of(options_.tenants)),
+      metrics_(kServerMetrics, kTenantMetrics, tenant_names_),
+      tenant_latency_(
+          std::make_unique<obs::LogHistogram[]>(tenant_names_.size())),
       controller_(options_.controller),
-      host_("serve", "service.bad_frames",
+      host_("serve",
             {[this](int fd, const Frame& frame) { handle_frame(fd, frame); },
              [this](int fd, const Diagnostic& diag) { send_error(fd, diag); },
+             [this] { metrics_.add(ServerMetric::kBadFrames); },
              // Rate limits are lifted so a throttled tenant's queued work
              // cannot wedge the shutdown.
              [this] { admission_->drain(); }}) {
   if (options_.default_cost_ms <= 0) options_.default_cost_ms = 1;
-  window_start_ = std::chrono::steady_clock::now();
-  trace_start_ = window_start_;
+  start_ = read();
+  prev_tick_ = start_;
+  last_tick_ = start_;
+  trace_start_ = start_.at;
   if (!options_.cache_dir.empty()) {
     cache_.emplace(options_.cache_dir);
     if (options_.hot_tier_bytes > 0) hot_.emplace(options_.hot_tier_bytes);
@@ -86,6 +71,8 @@ Server::Server(ServerOptions options)
                       options_.default_cost_ms;
   admission_ = std::make_unique<qos::AdmissionController>(options_.tenants,
                                                           aopts);
+  metrics_.set(ServerMetric::kControlCapped, admission_->capped_x1000());
+  metrics_.set(ServerMetric::kControlDegraded, admission_->degraded_x1000());
 }
 
 Server::~Server() {
@@ -106,6 +93,12 @@ void Server::start() {
   if (control_enabled()) {
     control_ = std::thread([this] { control_loop(); });
   }
+}
+
+void Server::run() {
+  host_.run();
+  pool_->wait();
+  metrics_.export_to_session(read().values);
 }
 
 void Server::handle_frame(int fd, const Frame& frame) {
@@ -139,28 +132,36 @@ void Server::handle_frame(int fd, const Frame& frame) {
 
 void Server::note_queue_depth() {
   const std::int64_t depth = admission_->total_depth();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
-  }
-  obs::gauge("service.queue_depth", depth);
+  metrics_.set(ServerMetric::kQueueDepth, depth);
+  metrics_.raise(ServerMetric::kMaxQueueDepth, depth);
+}
+
+std::optional<std::size_t> Server::tenant_index(std::string_view name) const {
+  const auto it =
+      std::lower_bound(tenant_names_.begin(), tenant_names_.end(), name);
+  if (it == tenant_names_.end() || *it != name) return std::nullopt;
+  return static_cast<std::size_t>(it - tenant_names_.begin());
 }
 
 void Server::handle_compile(int fd, std::string_view payload) {
   const auto started = std::chrono::steady_clock::now();
   // Latency is attributed per tenant once the request names one; until
-  // then (frame/JSON errors) it lands on `public`.
+  // then (frame/JSON errors) it lands on `public`, and an unregistered
+  // name gets none.
   std::string tenant{qos::kPublicTenant};
+  std::optional<std::size_t> t = tenant_index(tenant);
   // Trace skeleton (docs/CONTROL.md); every return path below goes
   // through finish(), which appends it when recording is on.
   TraceRecord rec;
   rec.lane = fd;
   rec.outcome = "error";
   const auto finish = [&] {
-    record_latency(tenant,
-                   std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - started)
-                       .count());
+    const std::int64_t us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count();
+    latency_.record(us);
+    if (t.has_value()) tenant_latency_[*t].record(us);
     if (recorder_ != nullptr) {
       rec.tick_us = std::chrono::duration_cast<std::chrono::microseconds>(
                         started - trace_start_)
@@ -175,11 +176,7 @@ void Server::handle_compile(int fd, std::string_view payload) {
     send_error(fd, diag);
     finish();
   };
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests;
-  }
-  obs::count("service.requests");
+  metrics_.add(ServerMetric::kRequests);
 
   if (fault::enabled() && fault::should_fail("svc_worker_stall")) {
     // Injected stall: long enough to trip a chaos-tuned router deadline
@@ -194,15 +191,12 @@ void Server::handle_compile(int fd, std::string_view payload) {
 
   // Tenant resolution comes before any work — including cache reads —
   // so an unregistered tenant cannot consume anything but the lookup.
-  if (!req.tenant.empty()) tenant = req.tenant;
-  const qos::TenantSettings* tenant_settings =
-      admission_->registry().find(tenant);
-  if (tenant_settings == nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.unknown_tenant;
-    }
-    obs::count("service.tenant.unknown");
+  if (!req.tenant.empty()) {
+    tenant = req.tenant;
+    t = tenant_index(tenant);
+  }
+  if (!t.has_value()) {
+    metrics_.add(ServerMetric::kUnknownTenant);
     Diagnostic diag;
     diag.code = ErrorCode::kUnknownTenant;
     diag.message = "unknown tenant '" + tenant +
@@ -210,11 +204,7 @@ void Server::handle_compile(int fd, std::string_view payload) {
                    "(--tenants-config, docs/TENANCY.md)";
     return fail(diag);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.tenants[tenant].requests;
-  }
-  obs::count("service.tenant." + tenant + ".requests");
+  count_tenant(*t, TenantMetric::kRequests);
 
   Graph g;
   try {
@@ -225,32 +215,26 @@ void Server::handle_compile(int fd, std::string_view payload) {
   const std::string canonical = write_graph_text(g);
   const std::string fingerprint = option_fingerprint(req);
   const std::uint64_t key = cache_key(canonical, fingerprint);
-  rec.key_hex = key_hex(key);
+  if (recorder_ != nullptr) rec.key_hex = key_hex(key);
   rec.actors = static_cast<std::int64_t>(g.num_actors());
   rec.deadline_ms = req.deadline_ms;
 
   if (cache_.has_value()) {
     if (std::optional<std::string> hit = cache_fetch(key)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.cache_hits;
-        ++stats_.tenants[tenant].cache_hits;
-        ++stats_.responses_ok;
-      }
-      obs::count("service.tenant." + tenant + ".cache_hits");
+      metrics_.add(ServerMetric::kCacheHits);
+      metrics_.add(ServerMetric::kResponsesOk);
+      count_tenant(*t, TenantMetric::kCacheHits);
       rec.outcome = "hit";
       rec.full_fidelity = true;  // the cache only holds full fidelity
-      rec.response_hash = key_hex(util::fnv1a64(*hit));
+      if (recorder_ != nullptr) {
+        rec.response_hash = key_hex(util::fnv1a64(*hit));
+      }
       send_frame(fd, FrameKind::kCompileResponse, *hit);
       finish();
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cache_misses;
-      ++stats_.tenants[tenant].cache_misses;
-    }
-    obs::count("service.tenant." + tenant + ".cache_misses");
+    metrics_.add(ServerMetric::kCacheMisses);
+    count_tenant(*t, TenantMetric::kCacheMisses);
   }
 
   // Admission cost: the request's own deadline when it has one; else the
@@ -271,13 +255,8 @@ void Server::handle_compile(int fd, std::string_view payload) {
   if (ticket.status !=
       qos::AdmissionController::Ticket::Status::kGranted) {
     rec.outcome = "overloaded";
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.overloaded;
-      ++stats_.tenants[tenant].overloaded;
-    }
-    obs::count("service.overloaded");
-    obs::count("service.tenant." + tenant + ".overloaded");
+    metrics_.add(ServerMetric::kOverloaded);
+    count_tenant(*t, TenantMetric::kOverloaded);
     Diagnostic diag;
     diag.code = ErrorCode::kOverloaded;
     diag.message =
@@ -289,46 +268,17 @@ void Server::handle_compile(int fd, std::string_view payload) {
   }
   note_queue_depth();
   if (ticket.queue_wait_us > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.tenants[tenant].throttle_wait_us += ticket.queue_wait_us;
+    count_tenant(*t, TenantMetric::kThrottleWaitUs, ticket.queue_wait_us);
   }
 
   // Apply the tenant's load-shed tier, if any, without touching the
   // request's own option fingerprint — shed responses are served but
   // never cached.
   CompileOptions effective = req.options;
-  bool shedded = false;
-  std::optional<LoopOptimizer> optimizer_cap;
-  bool force_topo_order = false;
-  switch (ticket.tier) {
-    case qos::AdmissionController::PressureTier::kNormal: break;
-    case qos::AdmissionController::PressureTier::kCapped:
-      optimizer_cap = LoopOptimizer::kDppo;
-      break;
-    case qos::AdmissionController::PressureTier::kDegraded:
-      optimizer_cap = LoopOptimizer::kFlat;
-      force_topo_order = true;
-      break;
-  }
-  if (optimizer_cap.has_value() &&
-      optimizer_rank(effective.optimizer) >
-          optimizer_rank(*optimizer_cap)) {
-    effective.optimizer = *optimizer_cap;
-    shedded = true;
-  }
-  if (force_topo_order &&
-      effective.order != OrderHeuristic::kTopological) {
-    effective.order = OrderHeuristic::kTopological;
-    shedded = true;
-  }
+  const bool shedded = ctl::shed_to_tier(effective, ticket.tier);
   if (shedded) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.shed_degraded;
-      ++stats_.tenants[tenant].shed_degraded;
-    }
-    obs::count("service.shed_degraded");
-    obs::count("service.tenant." + tenant + ".shed_degraded");
+    metrics_.add(ServerMetric::kShedDegraded);
+    count_tenant(*t, TenantMetric::kShedDegraded);
   }
 
   // Merge the request budget under the server ceiling: the tighter of
@@ -388,7 +338,7 @@ void Server::handle_compile(int fd, std::string_view payload) {
     std::lock_guard<std::mutex> lock(mu_);
     cost_model_.record(rec.actors, wall_ns);
   }
-  obs::count("service.cost_model.samples");
+  metrics_.add(ServerMetric::kCostModelSamples);
 
   if (!outcome->ok()) return fail(outcome->error());
   const CompileResult& res = outcome->value();
@@ -435,42 +385,30 @@ void Server::handle_compile(int fd, std::string_view payload) {
   rec.outcome = "ok";
   rec.shed = shedded;
   rec.full_fidelity = full_fidelity;
-  if (full_fidelity) rec.response_hash = key_hex(util::fnv1a64(response));
+  if (full_fidelity && recorder_ != nullptr) {
+    rec.response_hash = key_hex(util::fnv1a64(response));
+  }
   if (cacheable) {
     // Cache-bytes quota (docs/TENANCY.md): a tenant over its insert
     // quota stops adding entries but keeps reading — the cache is
     // content-addressed and shared, so hits on entries other tenants
     // inserted still apply.
-    bool quota_ok = true;
-    if (tenant_settings->cache_quota_bytes > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      quota_ok = stats_.tenants[tenant].cache_bytes +
-                     static_cast<std::int64_t>(response.size()) <=
-                 tenant_settings->cache_quota_bytes;
-    }
-    if (quota_ok) {
-      if (cache_store(key, response)) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.tenants[tenant].cache_inserts;
-          stats_.tenants[tenant].cache_bytes +=
-              static_cast<std::int64_t>(response.size());
-        }
-        obs::count("service.tenant." + tenant + ".cache_inserts");
-      }
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.tenants[tenant].quota_denied;
-      }
-      obs::count("service.tenant." + tenant + ".cache_quota_denied");
+    const auto bytes = static_cast<std::int64_t>(response.size());
+    const std::int64_t quota =
+        options_.tenants.find(tenant)->cache_quota_bytes;
+    const bool quota_ok =
+        quota <= 0 ||
+        metrics_.get(metrics_.slot(*t, TenantMetric::kCacheBytes)) + bytes <=
+            quota;
+    if (!quota_ok) {
+      count_tenant(*t, TenantMetric::kQuotaDenied);
+    } else if (cache_store(key, response)) {
+      count_tenant(*t, TenantMetric::kCacheInserts);
+      count_tenant(*t, TenantMetric::kCacheBytes, bytes);
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.responses_ok;
-  }
+  metrics_.add(ServerMetric::kResponsesOk);
   send_frame(fd, FrameKind::kCompileResponse, response);
   finish();
 }
@@ -497,11 +435,7 @@ bool Server::cache_store(std::uint64_t key, std::string_view payload) {
     // degrades to an uncached response — the client still gets its
     // bytes; only this key's next request pays a recompile. The hot
     // tier is skipped: it must only hold disk-vouched bytes.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cache_write_failures;
-    }
-    obs::count("service.cache.write_failures");
+    metrics_.add(ServerMetric::kCacheWriteFailures);
     return false;
   }
   if (hot_.has_value()) hot_->insert(key, payload);
@@ -526,8 +460,7 @@ void Server::record_trace(const TraceRecord& record) {
   } catch (const std::exception&) {
     // Recording is observability, not correctness: a full disk must not
     // fail the request it was describing.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++trace_errors_;
+    metrics_.add(ServerMetric::kTraceErrors);
   }
 }
 
@@ -537,58 +470,89 @@ void Server::control_loop() {
   }
 }
 
-ControlWindow Server::snapshot_window_locked() const {
-  const auto now = std::chrono::steady_clock::now();
-  ControlWindow w;
-  w.window_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    now - window_start_)
-                    .count();
-  w.requests = stats_.requests - window_base_.requests;
-  w.responses_ok = stats_.responses_ok - window_base_.responses_ok;
-  w.cache_hits = stats_.cache_hits - window_base_.cache_hits;
-  w.cache_misses = stats_.cache_misses - window_base_.cache_misses;
-  w.overloaded = stats_.overloaded - window_base_.overloaded;
-  w.shed_degraded = stats_.shed_degraded - window_base_.shed_degraded;
-  w.errors = stats_.errors - window_base_.errors;
-  w.latency = stats_.latency.delta_since(window_base_.latency);
-  for (const auto& [name, ts] : stats_.tenants) {
-    const auto base = window_base_.tenants.find(name);
-    const std::int64_t base_req =
-        base == window_base_.tenants.end() ? 0 : base->second.requests;
-    const std::int64_t base_ov =
-        base == window_base_.tenants.end() ? 0 : base->second.overloaded;
-    if (ts.requests != base_req) {
-      w.tenant_requests[name] = ts.requests - base_req;
+Server::Reading Server::read() const {
+  Reading r{std::chrono::steady_clock::now(), metrics_.values(),
+            latency_.snapshot()};
+  std::vector<std::int64_t>& v = r.values;
+  if (cache_.has_value()) {
+    const CacheStats cs = cache_->stats();
+    v[ServerMetric::kCacheInserts] = cs.inserts;
+    v[ServerMetric::kCacheCorrupt] = cs.corrupt;
+    v[ServerMetric::kScrubPasses] = cs.scrub_passes;
+    v[ServerMetric::kScrubChecked] = cs.scrub_checked;
+    v[ServerMetric::kScrubQuarantined] = cs.scrub_quarantined;
+  }
+  if (hot_.has_value()) {
+    const HotTierStats hs = hot_->stats();
+    v[ServerMetric::kHotHits] = hs.hits;
+    v[ServerMetric::kHotMisses] = hs.misses;
+    v[ServerMetric::kHotInserts] = hs.inserts;
+    v[ServerMetric::kHotEvictions] = hs.evictions;
+    v[ServerMetric::kHotBytes] = hs.bytes;
+  }
+  if (recorder_ != nullptr) {
+    v[ServerMetric::kTraceRecords] = recorder_->records();
+  }
+  return r;
+}
+
+std::pair<ctl::IntervalMetrics, obs::Json> Server::window(
+    const Reading& later, const Reading& earlier) const {
+  const auto delta = [&](std::size_t slot) {
+    return later.values[slot] - earlier.values[slot];
+  };
+  const obs::HistogramSnapshot latency =
+      later.latency.delta_since(earlier.latency);
+  ctl::IntervalMetrics m;
+  m.requests = delta(ServerMetric::kRequests);
+  m.overloaded = delta(ServerMetric::kOverloaded);
+  m.shed_degraded = delta(ServerMetric::kShedDegraded);
+  m.cache_hits = delta(ServerMetric::kCacheHits);
+  m.p95_us = latency.percentile(95);
+  for (std::size_t t = 0; t < tenant_names_.size(); ++t) {
+    const std::string& name = tenant_names_[t];
+    if (const auto d = delta(metrics_.slot(t, TenantMetric::kRequests))) {
+      m.tenant_requests[name] = d;
     }
-    if (ts.overloaded != base_ov) {
-      w.tenant_overloaded[name] = ts.overloaded - base_ov;
+    if (const auto d = delta(metrics_.slot(t, TenantMetric::kOverloaded))) {
+      m.tenant_overloaded[name] = d;
     }
   }
-  w.counters = counter_window_.snapshot("service.");
-  window_base_ = stats_;
-  window_start_ = now;
-  last_window_ = w;
-  return w;
+  obs::Json w = obs::Json::object();
+  w["window_ms"] = static_cast<std::int64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(later.at -
+                                                            earlier.at)
+          .count());
+  w["requests"] = m.requests;
+  w["responses_ok"] = delta(ServerMetric::kResponsesOk);
+  w["cache_hits"] = m.cache_hits;
+  w["cache_misses"] = delta(ServerMetric::kCacheMisses);
+  w["overloaded"] = m.overloaded;
+  w["shed_degraded"] = m.shed_degraded;
+  w["errors"] = delta(ServerMetric::kErrors);
+  w["latency"] = latency_json(latency);
+  w["tenant_requests"] = map_json(m.tenant_requests);
+  w["tenant_overloaded"] = map_json(m.tenant_overloaded);
+  w["counters"] =
+      map_json(metrics_.counter_deltas(later.values, earlier.values));
+  return {std::move(m), std::move(w)};
 }
 
 ctl::Decision Server::control_tick() {
-  ctl::IntervalMetrics metrics;
   ctl::Decision decision;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const ControlWindow w = snapshot_window_locked();
-    metrics.requests = w.requests;
-    metrics.overloaded = w.overloaded;
-    metrics.shed_degraded = w.shed_degraded;
-    metrics.cache_hits = w.cache_hits;
-    metrics.p95_us = w.latency.percentile_us(95);
-    metrics.tenant_requests = w.tenant_requests;
-    metrics.tenant_overloaded = w.tenant_overloaded;
-    decision = controller_.tick(metrics);
+    prev_tick_ = std::move(last_tick_);
+    last_tick_ = read();
+    decision = controller_.tick(window(last_tick_, prev_tick_).first);
     last_decision_ = decision;
+    // The controller counts its own ticks; the registry mirrors them.
+    metrics_.set(ServerMetric::kControlTicks, controller_.ticks());
+    metrics_.set(ServerMetric::kControlAdjustments, controller_.adjustments());
+    metrics_.set(ServerMetric::kControlClamped, controller_.clamped());
   }
   // Apply outside mu_: the admission controller has its own lock and
-  // must never nest inside the stats mutex.
+  // must never nest inside the controller mutex.
   admission_->set_trip_points(decision.knobs.capped_x1000,
                               decision.knobs.degraded_x1000);
   for (const auto& [name, settings] : admission_->registry().tenants()) {
@@ -596,18 +560,11 @@ ctl::Decision Server::control_tick() {
     admission_->set_share_boost(
         name, it == decision.knobs.boost_x1000.end() ? 1000 : it->second);
   }
-  obs::count("service.control.ticks");
-  if (decision.adjustments > 0) {
-    obs::count("service.control.adjustments", decision.adjustments);
-  }
-  if (decision.clamped > 0) {
-    obs::count("service.control.clamped", decision.clamped);
-  }
-  obs::gauge("service.control.capped_x1000", decision.knobs.capped_x1000);
-  obs::gauge("service.control.degraded_x1000",
-             decision.knobs.degraded_x1000);
-  obs::gauge("service.control.utility_x1000", decision.utility_x1000);
-  obs::gauge("service.control.shed_x1000", decision.shed_x1000);
+  metrics_.set(ServerMetric::kControlCapped, decision.knobs.capped_x1000);
+  metrics_.set(ServerMetric::kControlDegraded,
+               decision.knobs.degraded_x1000);
+  metrics_.set(ServerMetric::kControlUtility, decision.utility_x1000);
+  metrics_.set(ServerMetric::kControlShed, decision.shed_x1000);
   return decision;
 }
 
@@ -622,16 +579,9 @@ void Server::handle_peer_lookup(int fd, std::string_view payload) {
     send_error(fd, key.error());
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.peer_lookups;
-  }
-  obs::count("service.peer.lookups");
+  metrics_.add(ServerMetric::kPeerLookups);
   std::optional<std::string> hit = cache_fetch(key.value());
-  if (hit.has_value()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.peer_lookup_hits;
-  }
+  if (hit.has_value()) metrics_.add(ServerMetric::kPeerLookupHits);
   // Miss = empty payload; cached documents are never empty.
   send_frame(fd, FrameKind::kPeerLookupResponse,
              hit.has_value() ? *hit : std::string_view{});
@@ -662,65 +612,70 @@ void Server::handle_peer_insert(int fd, std::string_view payload) {
     send_error(fd, diag);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.peer_inserts;
-  }
-  obs::count("service.peer.inserts");
+  metrics_.add(ServerMetric::kPeerInserts);
   send_frame(fd, FrameKind::kPeerInsertResponse, "");
 }
 
 void Server::send_error(int fd, const Diagnostic& diag) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.errors;
-  }
-  obs::count("service.errors");
+  metrics_.add(ServerMetric::kErrors);
   obs::Json doc = obs::Json::object();
   doc["error"] = diagnostic_to_json(diag);
   send_frame(fd, FrameKind::kErrorResponse, doc.dump(2));
 }
 
-void Server::record_latency(const std::string& tenant, std::int64_t us) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.latency.record(us);
-    if (admission_->registry().find(tenant) != nullptr) {
-      stats_.tenants[tenant].latency.record(us);
-    }
-  }
-  std::size_t i = 0;
-  while (i < kLatencyBucketUs.size() && us > kLatencyBucketUs[i]) ++i;
-  obs::count(i < kLatencyBucketUs.size()
-                 ? "service.latency_le_us." +
-                       std::to_string(kLatencyBucketUs[i])
-                 : std::string("service.latency_le_us.inf"));
-}
-
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServerStats out = stats_;
+  const Reading r = read();
+  const std::vector<std::int64_t>& v = r.values;
+  ServerStats out;
+  out.requests = v[ServerMetric::kRequests];
+  out.responses_ok = v[ServerMetric::kResponsesOk];
+  out.cache_hits = v[ServerMetric::kCacheHits];
+  out.cache_misses = v[ServerMetric::kCacheMisses];
+  out.overloaded = v[ServerMetric::kOverloaded];
+  out.shed_degraded = v[ServerMetric::kShedDegraded];
+  out.errors = v[ServerMetric::kErrors];
+  out.bad_frames = v[ServerMetric::kBadFrames];
+  out.unknown_tenant = v[ServerMetric::kUnknownTenant];
+  out.peer_lookups = v[ServerMetric::kPeerLookups];
+  out.peer_lookup_hits = v[ServerMetric::kPeerLookupHits];
+  out.peer_inserts = v[ServerMetric::kPeerInserts];
   out.connections = host_.connections();
-  out.bad_frames = host_.bad_frames();
+  out.max_queue_depth = v[ServerMetric::kMaxQueueDepth];
+  out.cache_write_failures = v[ServerMetric::kCacheWriteFailures];
+  out.latency = r.latency;
+  for (std::size_t t = 0; t < tenant_names_.size(); ++t) {
+    const auto tenant = [&](std::size_t m) { return v[metrics_.slot(t, m)]; };
+    TenantStats& ts = out.tenants[tenant_names_[t]];
+    ts.requests = tenant(TenantMetric::kRequests);
+    ts.cache_hits = tenant(TenantMetric::kCacheHits);
+    ts.cache_misses = tenant(TenantMetric::kCacheMisses);
+    ts.overloaded = tenant(TenantMetric::kOverloaded);
+    ts.shed_degraded = tenant(TenantMetric::kShedDegraded);
+    ts.throttle_wait_us = tenant(TenantMetric::kThrottleWaitUs);
+    ts.cache_inserts = tenant(TenantMetric::kCacheInserts);
+    ts.cache_bytes = tenant(TenantMetric::kCacheBytes);
+    ts.quota_denied = tenant(TenantMetric::kQuotaDenied);
+    ts.latency = tenant_latency_[t].snapshot();
+  }
   return out;
 }
 
 std::string Server::stats_json() const {
-  ServerStats snapshot = stats();
-  const std::int64_t depth = admission_->total_depth();
+  const Reading r = read();
+  const auto get = [&r](std::size_t slot) { return r.values[slot]; };
   obs::Json doc = obs::Json::object();
   doc["schema"] = "sdfmem.stats.v1";
   if (!options_.worker_id.empty()) doc["worker_id"] = options_.worker_id;
-  doc["requests"] = snapshot.requests;
-  doc["responses_ok"] = snapshot.responses_ok;
-  doc["errors"] = snapshot.errors;
-  doc["overloaded"] = snapshot.overloaded;
-  doc["shed_degraded"] = snapshot.shed_degraded;
-  doc["bad_frames"] = snapshot.bad_frames;
-  doc["unknown_tenant"] = snapshot.unknown_tenant;
-  doc["connections"] = snapshot.connections;
-  doc["queue_depth"] = depth;
-  doc["max_queue_depth"] = snapshot.max_queue_depth;
+  doc["requests"] = get(ServerMetric::kRequests);
+  doc["responses_ok"] = get(ServerMetric::kResponsesOk);
+  doc["errors"] = get(ServerMetric::kErrors);
+  doc["overloaded"] = get(ServerMetric::kOverloaded);
+  doc["shed_degraded"] = get(ServerMetric::kShedDegraded);
+  doc["bad_frames"] = get(ServerMetric::kBadFrames);
+  doc["unknown_tenant"] = get(ServerMetric::kUnknownTenant);
+  doc["connections"] = host_.connections();
+  doc["queue_depth"] = admission_->total_depth();
+  doc["max_queue_depth"] = get(ServerMetric::kMaxQueueDepth);
   obs::Json cache = obs::Json::object();
   if (cache_.has_value()) {
     const CacheStats cs = cache_->stats();
@@ -742,109 +697,57 @@ std::string Server::stats_json() const {
     cache["scrub_passes"] = cs.scrub_passes;
     cache["scrub_checked"] = cs.scrub_checked;
     cache["scrub_quarantined"] = cs.scrub_quarantined;
-    cache["write_failures"] = snapshot.cache_write_failures;
+    cache["write_failures"] = get(ServerMetric::kCacheWriteFailures);
   }
   doc["cache"] = std::move(cache);
   obs::Json peer = obs::Json::object();
-  peer["lookups"] = snapshot.peer_lookups;
-  peer["lookup_hits"] = snapshot.peer_lookup_hits;
-  peer["inserts"] = snapshot.peer_inserts;
+  peer["lookups"] = get(ServerMetric::kPeerLookups);
+  peer["lookup_hits"] = get(ServerMetric::kPeerLookupHits);
+  peer["inserts"] = get(ServerMetric::kPeerInserts);
   doc["peer"] = std::move(peer);
-  obs::Json latency = obs::Json::object();
-  latency["count"] = snapshot.latency.count;
-  latency["sum_us"] = snapshot.latency.sum_us;
-  latency["p50_us"] = snapshot.latency.percentile_us(50);
-  latency["p95_us"] = snapshot.latency.percentile_us(95);
-  latency["p99_us"] = snapshot.latency.percentile_us(99);
-  doc["latency"] = std::move(latency);
+  doc["latency"] = latency_json(r.latency);
   // Every registered tenant appears, traffic or not, so dashboards and
-  // the CI smoke assertions can key on names unconditionally.
+  // the CI smoke assertions can key on names unconditionally. Its
+  // counters are the kTenantMetrics slots, keyed by name suffix.
+  constexpr std::string_view kTenantPrefix = "service.tenant.<t>.";
   obs::Json tenants = obs::Json::object();
-  for (const auto& [name, settings] : admission_->registry().tenants()) {
-    const TenantStats& ts = snapshot.tenants[name];
+  for (std::size_t i = 0; i < tenant_names_.size(); ++i) {
+    const std::string& name = tenant_names_[i];
+    const qos::TenantSettings& settings = *options_.tenants.find(name);
     obs::Json t = obs::Json::object();
     t["weight"] = settings.weight;
     t["share_ms"] = admission_->share_ms(name);
     t["backlog_ms"] = admission_->backlog_ms(name);
     t["rate_ms_per_sec"] = settings.rate_ms_per_sec;
     t["cache_quota_bytes"] = settings.cache_quota_bytes;
-    t["requests"] = ts.requests;
-    t["cache_hits"] = ts.cache_hits;
-    t["cache_misses"] = ts.cache_misses;
-    t["overloaded"] = ts.overloaded;
-    t["shed_degraded"] = ts.shed_degraded;
-    t["throttle_wait_us"] = ts.throttle_wait_us;
-    t["cache_inserts"] = ts.cache_inserts;
-    t["cache_bytes"] = ts.cache_bytes;
-    t["cache_quota_denied"] = ts.quota_denied;
-    obs::Json lat = obs::Json::object();
-    lat["count"] = ts.latency.count;
-    lat["p50_us"] = ts.latency.percentile_us(50);
-    lat["p95_us"] = ts.latency.percentile_us(95);
-    lat["p99_us"] = ts.latency.percentile_us(99);
-    t["latency"] = std::move(lat);
+    for (std::size_t m = 0; m < TenantMetric::kCount; ++m) {
+      t[kTenantMetrics[m].name.substr(kTenantPrefix.size())] =
+          get(metrics_.slot(i, m));
+    }
+    t["latency"] = latency_json(tenant_latency_[i].snapshot());
     tenants[name] = std::move(t);
   }
   doc["tenants"] = std::move(tenants);
-  // Reset-on-snapshot monitoring window plus the sdfmem.controlstats.v1
-  // object (docs/CONTROL.md). When the control loop is running it owns
-  // the window cadence and stats reports the last completed interval;
-  // otherwise each stats call advances the window itself.
-  ControlWindow w;
+  // The monitoring window plus the sdfmem.controlstats.v1 object
+  // (docs/CONTROL.md). A running control loop owns the window cadence,
+  // and stats reports its last completed interval; otherwise the window
+  // covers the time since start. Either way this read changes nothing.
   ctl::Decision last;
   ctl::CostModel cost_model;
-  std::int64_t ctl_ticks = 0;
-  std::int64_t ctl_adjustments = 0;
-  std::int64_t ctl_clamped = 0;
-  std::int64_t trace_errors = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    w = control_enabled() ? last_window_ : snapshot_window_locked();
+    doc["window"] = control_enabled() ? window(last_tick_, prev_tick_).second
+                                      : window(r, start_).second;
     last = last_decision_;
     cost_model = cost_model_;
-    ctl_ticks = controller_.ticks();
-    ctl_adjustments = controller_.adjustments();
-    ctl_clamped = controller_.clamped();
-    trace_errors = trace_errors_;
   }
-  obs::Json window = obs::Json::object();
-  window["window_ms"] = w.window_ms;
-  window["requests"] = w.requests;
-  window["responses_ok"] = w.responses_ok;
-  window["cache_hits"] = w.cache_hits;
-  window["cache_misses"] = w.cache_misses;
-  window["overloaded"] = w.overloaded;
-  window["shed_degraded"] = w.shed_degraded;
-  window["errors"] = w.errors;
-  obs::Json window_latency = obs::Json::object();
-  window_latency["count"] = w.latency.count;
-  window_latency["p50_us"] = w.latency.percentile_us(50);
-  window_latency["p95_us"] = w.latency.percentile_us(95);
-  window_latency["p99_us"] = w.latency.percentile_us(99);
-  window["latency"] = std::move(window_latency);
-  obs::Json window_tenant_requests = obs::Json::object();
-  for (const auto& [name, value] : w.tenant_requests) {
-    window_tenant_requests[name] = value;
-  }
-  window["tenant_requests"] = std::move(window_tenant_requests);
-  obs::Json window_tenant_overloaded = obs::Json::object();
-  for (const auto& [name, value] : w.tenant_overloaded) {
-    window_tenant_overloaded[name] = value;
-  }
-  window["tenant_overloaded"] = std::move(window_tenant_overloaded);
-  obs::Json window_counters = obs::Json::object();
-  for (const auto& [name, value] : w.counters) {
-    window_counters[name] = value;
-  }
-  window["counters"] = std::move(window_counters);
-  doc["window"] = std::move(window);
   obs::Json control = obs::Json::object();
   control["schema"] = "sdfmem.controlstats.v1";
   control["enabled"] = control_enabled();
   control["interval_ms"] = options_.control_interval_ms;
-  control["ticks"] = ctl_ticks;
-  control["adjustments"] = ctl_adjustments;
-  control["clamped"] = ctl_clamped;
+  control["ticks"] = metrics_.get(ServerMetric::kControlTicks);
+  control["adjustments"] = metrics_.get(ServerMetric::kControlAdjustments);
+  control["clamped"] = metrics_.get(ServerMetric::kControlClamped);
   // Knob readbacks come from admission itself — what is actually being
   // enforced, not what the controller last asked for.
   control["capped_x1000"] = admission_->capped_x1000();
@@ -885,7 +788,7 @@ std::string Server::stats_json() const {
     recording["path"] = recorder_->path();
     recording["records"] = recorder_->records();
   }
-  recording["errors"] = trace_errors;
+  recording["errors"] = metrics_.get(ServerMetric::kTraceErrors);
   control["recording"] = std::move(recording);
   doc["control"] = std::move(control);
   return doc.dump(2);

@@ -32,9 +32,10 @@
 // slot count equals the compile worker count.
 //
 // Load shedding is per tenant and reuses the pipeline's degradation
-// ladder (pipeline/compile.h): at >= 1/2 of the tenant's share the loop
-// optimizer is capped at kDppo, at >= 3/4 it is forced to kFlat and the
-// ordering heuristic to the plain topological sort. Shed-degraded
+// ladder (pipeline/compile.h, ctl::shed_to_tier): at >= 1/2 of the
+// tenant's share the loop optimizer is capped at kDppo, at >= 3/4 it is
+// forced to kFlat and the ordering heuristic to the plain topological
+// sort. Shed-degraded
 // responses are served but never cached, so cache entries are always
 // full-fidelity and hot responses stay byte-identical to an unloaded
 // cold compile — for every tenant, since responses never embed the
@@ -63,19 +64,19 @@
 // hard clamps. `--record <file>` journals every request as a
 // sdfmem.trace.v1 record (service/trace.h) for deterministic replay.
 //
-// Telemetry (docs/OBSERVABILITY.md): service.requests,
-// service.cache.{hits,misses,inserts,corrupt}, the scrubber family
-// service.cache.{scrub_passes,scrub_quarantined,write_failures},
-// service.overloaded,
-// service.shed_degraded, service.errors, gauge service.queue_depth, the
-// latency histogram counters service.latency_le_us.<bound>, and the
-// per-tenant family service.tenant.<name>.{requests,cache_hits,
-// cache_misses,overloaded,shed_degraded,throttle_wait_us,cache_inserts,
-// cache_quota_denied} plus service.tenant.unknown (cardinality is
-// bounded by the registry: unregistered names never mint counters).
+// Metrics (docs/OBSERVABILITY.md, "Service telemetry"): every event is
+// counted once, in a lock-free obs::Registry built from kServerMetrics
+// plus kTenantMetrics expanded for each registered tenant (the registry
+// is fixed for the server's life, so a client cannot mint names). A
+// request resolves its tenant to an index once; after that, recording is
+// an index and a relaxed atomic add. Request latency goes into one
+// obs::LogHistogram per server and one per tenant. stats() and
+// stats_json() read the registry and change nothing; the control loop
+// diffs each read against its own previous one. Under `serve --trace`
+// run() copies the totals into the telemetry session once, on drain.
 #pragma once
 
-#include <array>
+#include <iterator>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -84,8 +85,11 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "obs/counters.h"
+#include "obs/json_report.h"
+#include "obs/metrics.h"
 #include "pipeline/governor.h"
 #include "service/cache.h"
 #include "service/control.h"
@@ -151,28 +155,63 @@ struct ServerOptions {
   std::string record_path;
 };
 
-/// Upper bucket bounds (microseconds) of the request-latency histogram;
-/// one overflow bucket follows.
-inline constexpr std::array<std::int64_t, 8> kLatencyBucketUs = {
-    100, 300, 1000, 3000, 10000, 30000, 100000, 300000};
-
-struct LatencyHistogram {
-  std::array<std::int64_t, kLatencyBucketUs.size() + 1> buckets{};
-  std::int64_t count = 0;
-  std::int64_t sum_us = 0;
-
-  void record(std::int64_t us) noexcept;
-  /// Upper-bound estimate of the p-th percentile (p in [0, 100]); 0 when
-  /// empty. Resolution is the bucket granularity.
-  [[nodiscard]] std::int64_t percentile_us(double p) const noexcept;
-  /// Elementwise difference against an earlier snapshot of the same
-  /// histogram — the reset-on-snapshot window view (docs/CONTROL.md).
-  [[nodiscard]] LatencyHistogram delta_since(
-      const LatencyHistogram& earlier) const noexcept;
+/// Server registry slots, in kServerMetrics order. The mirrored slots,
+/// from kCacheInserts on, are never written: every read fills them from
+/// the stats the cache tiers and the trace recorder keep themselves.
+struct ServerMetric {
+  enum : std::size_t {
+    kRequests, kResponsesOk, kCacheHits, kCacheMisses, kOverloaded,
+    kShedDegraded, kErrors, kBadFrames, kUnknownTenant, kPeerLookups,
+    kPeerLookupHits, kPeerInserts, kCacheWriteFailures, kQueueDepth,
+    kMaxQueueDepth, kCostModelSamples, kControlTicks, kControlAdjustments,
+    kControlClamped, kControlCapped, kControlDegraded, kControlUtility,
+    kControlShed, kTraceErrors, kCacheInserts, kCacheCorrupt, kScrubPasses,
+    kScrubChecked, kScrubQuarantined, kHotHits, kHotMisses, kHotInserts,
+    kHotEvictions, kHotBytes, kTraceRecords, kCount
+  };
 };
 
-/// Per-tenant slice of the server counters. Only registered tenants get
-/// an entry, so a client cannot mint unbounded stats keys.
+inline constexpr auto kGauge = obs::MetricKind::kGauge;
+inline constexpr obs::MetricDef kServerMetrics[] = {
+    {"service.requests"}, {"service.responses_ok"}, {"service.cache.hits"},
+    {"service.cache.misses"}, {"service.overloaded"},
+    {"service.shed_degraded"}, {"service.errors"}, {"service.bad_frames"},
+    {"service.tenant.unknown"}, {"service.peer.lookups"},
+    {"service.peer.lookup_hits"}, {"service.peer.inserts"},
+    {"service.cache.write_failures"}, {"service.queue_depth", kGauge},
+    {"service.max_queue_depth", kGauge}, {"service.cost_model.samples"},
+    {"service.control.ticks"}, {"service.control.adjustments"},
+    {"service.control.clamped"}, {"service.control.capped_x1000", kGauge},
+    {"service.control.degraded_x1000", kGauge},
+    {"service.control.utility_x1000", kGauge},
+    {"service.control.shed_x1000", kGauge}, {"service.trace.errors"},
+    {"service.cache.inserts"}, {"service.cache.corrupt"},
+    {"service.cache.scrub_passes"}, {"service.cache.scrub_checked"},
+    {"service.cache.scrub_quarantined"}, {"service.cache.hot_hits"},
+    {"service.cache.hot_misses"}, {"service.cache.hot_inserts"},
+    {"service.cache.hot_evictions"}, {"service.cache.hot_bytes", kGauge},
+    {"service.trace.records"}};
+static_assert(std::size(kServerMetrics) == ServerMetric::kCount);
+
+/// Per-tenant registry slots, in kTenantMetrics order.
+struct TenantMetric {
+  enum : std::size_t {
+    kRequests, kCacheHits, kCacheMisses, kOverloaded, kShedDegraded,
+    kThrottleWaitUs, kCacheInserts, kCacheBytes, kQuotaDenied, kCount
+  };
+};
+
+inline constexpr obs::MetricDef kTenantMetrics[] = {
+    {"service.tenant.<t>.requests"}, {"service.tenant.<t>.cache_hits"},
+    {"service.tenant.<t>.cache_misses"}, {"service.tenant.<t>.overloaded"},
+    {"service.tenant.<t>.shed_degraded"},
+    {"service.tenant.<t>.throttle_wait_us"},
+    {"service.tenant.<t>.cache_inserts"}, {"service.tenant.<t>.cache_bytes"},
+    {"service.tenant.<t>.cache_quota_denied"}};
+static_assert(std::size(kTenantMetrics) == TenantMetric::kCount);
+
+/// Per-tenant slice of the server counters. Every registered tenant has
+/// an entry, and only those, so a client cannot mint stats keys.
 struct TenantStats {
   std::int64_t requests = 0;
   std::int64_t cache_hits = 0;
@@ -183,7 +222,7 @@ struct TenantStats {
   std::int64_t cache_inserts = 0;
   std::int64_t cache_bytes = 0;       ///< bytes inserted (quota basis)
   std::int64_t quota_denied = 0;      ///< inserts skipped: over quota
-  LatencyHistogram latency;
+  obs::HistogramSnapshot latency;     ///< request latency, µs
 };
 
 struct ServerStats {
@@ -204,28 +243,8 @@ struct ServerStats {
   /// Durable cache inserts that failed (disk full, injected fault); the
   /// response was still served, just not cached.
   std::int64_t cache_write_failures = 0;
-  LatencyHistogram latency;
+  obs::HistogramSnapshot latency;  ///< request latency, µs
   std::map<std::string, TenantStats> tenants;
-};
-
-/// One monitoring interval's delta over the server stats — what the
-/// controller consumes and what `stats_json()` exposes as "window".
-/// Every field is "since the previous snapshot", never a lifetime total.
-struct ControlWindow {
-  std::int64_t window_ms = 0;
-  std::int64_t requests = 0;
-  std::int64_t responses_ok = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t overloaded = 0;
-  std::int64_t shed_degraded = 0;
-  std::int64_t errors = 0;
-  LatencyHistogram latency;  ///< delta histogram (window percentiles)
-  std::map<std::string, std::int64_t> tenant_requests;
-  std::map<std::string, std::int64_t> tenant_overloaded;
-  /// service.* counter deltas (obs::CounterWindow); empty when the
-  /// telemetry session is disabled.
-  std::map<std::string, std::int64_t> counters;
 };
 
 class Server {
@@ -242,11 +261,9 @@ class Server {
 
   /// Accept loop; returns after a graceful drain once stop() was called
   /// or the process shutdown flag (util/shutdown.h) is set. start() must
-  /// have succeeded.
-  void run() {
-    host_.run();
-    pool_->wait();
-  }
+  /// have succeeded. While the telemetry session is on (`serve --trace`)
+  /// the drain copies the registry totals into it.
+  void run();
 
   /// Requests a drain (idempotent, callable from any thread or from a
   /// signal-adjacent context).
@@ -273,6 +290,13 @@ class Server {
   ctl::Decision control_tick();
 
  private:
+  /// One read of everything a window diffs.
+  struct Reading {
+    std::chrono::steady_clock::time_point at;
+    std::vector<std::int64_t> values;  ///< registry slots, mirrors filled
+    obs::HistogramSnapshot latency;
+  };
+
   void handle_frame(int fd, const Frame& frame);
   void handle_compile(int fd, std::string_view payload);
   void handle_peer_lookup(int fd, std::string_view payload);
@@ -288,19 +312,31 @@ class Server {
   void scrub_loop();
   /// Background controller body: control_tick() every interval.
   void control_loop();
-  /// Advances the reset-on-snapshot window (mutable state, mu_ held) and
-  /// returns the delta. Also refreshes last_window_ for stats_json().
-  ControlWindow snapshot_window_locked() const;
+  /// Reads the registry, filling in the mirrored slots.
+  [[nodiscard]] Reading read() const;
+  /// The interval between two reads: what the controller sees of it,
+  /// and the stats_json() "window" object.
+  [[nodiscard]] std::pair<ctl::IntervalMetrics, obs::Json> window(
+      const Reading& later, const Reading& earlier) const;
+  /// Index of a registered tenant in tenant_names_; nullopt if unknown.
+  [[nodiscard]] std::optional<std::size_t> tenant_index(
+      std::string_view name) const;
+  void count_tenant(std::size_t tenant, std::size_t metric,
+                    std::int64_t delta = 1) noexcept {
+    metrics_.add(metrics_.slot(tenant, metric), delta);
+  }
   /// Appends to the request trace, swallowing (but counting) IO errors —
   /// recording must never fail a request.
   void record_trace(const TraceRecord& record);
   void send_error(int fd, const Diagnostic& diag);
-  /// Records into the global histogram always, and into the tenant's
-  /// when `tenant` is registered (unknown ids must not mint entries).
-  void record_latency(const std::string& tenant, std::int64_t us);
   void note_queue_depth();
 
   ServerOptions options_;
+  /// The registered tenants (fixed for the server's life), sorted.
+  std::vector<std::string> tenant_names_;
+  obs::Registry metrics_;
+  obs::LogHistogram latency_;
+  std::unique_ptr<obs::LogHistogram[]> tenant_latency_;
   std::optional<ResultCache> cache_;
   std::optional<HotTier> hot_;
   std::unique_ptr<util::ThreadPool> pool_;
@@ -309,21 +345,18 @@ class Server {
   std::thread scrub_;
   std::thread control_;
 
-  mutable std::mutex mu_;  ///< stats + cost model + controller + window
-  ServerStats stats_;
+  /// Zero reading at construction: the window base while no controller
+  /// ticks.
+  Reading start_;
+  mutable std::mutex mu_;  ///< cost model + controller + tick readings
   ctl::CostModel cost_model_;
   ctl::Controller controller_;
   ctl::Decision last_decision_;
-  /// Reset-on-snapshot window state; mutable because stats_json() (a
-  /// const read in spirit) advances the window when no control loop is
-  /// doing so.
-  mutable ServerStats window_base_;
-  mutable ControlWindow last_window_;
-  mutable obs::CounterWindow counter_window_;
-  mutable std::chrono::steady_clock::time_point window_start_;
+  /// The last two control_tick() reads: the last completed interval.
+  Reading prev_tick_;
+  Reading last_tick_;
   std::chrono::steady_clock::time_point trace_start_;
   std::unique_ptr<TraceWriter> recorder_;
-  std::int64_t trace_errors_ = 0;  ///< append failures (guarded by mu_)
 
   /// Last member: destroyed first, so connection threads are joined
   /// while everything they touch is still alive.

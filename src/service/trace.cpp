@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/counters.h"
 #include "obs/json_report.h"
 
 namespace sdf::svc {
@@ -136,7 +135,6 @@ void TraceWriter::append(const TraceRecord& record) {
   const std::lock_guard<std::mutex> lock(mu_);
   journal_.append(encoded);
   ++count_;
-  obs::count("service.trace.records");
 }
 
 std::int64_t TraceWriter::records() const {

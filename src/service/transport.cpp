@@ -16,7 +16,6 @@
 #include <limits>
 #include <system_error>
 
-#include "obs/counters.h"
 #include "sdf/diagnostics.h"
 #include "util/fault.h"
 #include "util/shutdown.h"
@@ -255,11 +254,8 @@ ReadOutcome FrameReader::read(int fd, Frame* out, int timeout_ms) {
   }
 }
 
-ConnectionHost::ConnectionHost(std::string who, std::string bad_frame_counter,
-                               Hooks hooks)
-    : who_(std::move(who)),
-      bad_frame_counter_(std::move(bad_frame_counter)),
-      hooks_(std::move(hooks)) {}
+ConnectionHost::ConnectionHost(std::string who, Hooks hooks)
+    : who_(std::move(who)), hooks_(std::move(hooks)) {}
 
 ConnectionHost::~ConnectionHost() {
   stop();
@@ -400,8 +396,7 @@ void ConnectionHost::serve(int fd) {
       continue;
     }
     if (rc == ReadOutcome::kClosed) break;  // EOF — the peer is done
-    bad_frames_.fetch_add(1, std::memory_order_relaxed);
-    obs::count(bad_frame_counter_);
+    hooks_.on_bad_frame();
     Diagnostic diag;
     diag.code = ErrorCode::kBadArgument;
     diag.message =

@@ -145,14 +145,14 @@ class ConnectionHost {
     std::function<void(int fd, const Frame& frame)> on_frame;
     /// Sends one typed error frame (the owner counts it).
     std::function<void(int fd, const Diagnostic& diag)> send_error;
+    /// Counts one connection dropped on bad framing, before its error.
+    std::function<void()> on_bad_frame;
     /// Runs once accepting stopped, before the joins; may be empty.
     std::function<void()> on_drain;
   };
 
-  /// `who` prefixes listener and overload messages ("serve", "route");
-  /// `bad_frame_counter` is the obs counter bumped per bad-frame drop.
-  ConnectionHost(std::string who, std::string bad_frame_counter,
-                 Hooks hooks);
+  /// `who` prefixes listener and overload messages ("serve", "route").
+  ConnectionHost(std::string who, Hooks hooks);
   /// Joins any connection thread still running and closes the listeners.
   ~ConnectionHost();
 
@@ -175,13 +175,9 @@ class ConnectionHost {
 
   /// The bound TCP port (after listen()); 0 when TCP is off.
   [[nodiscard]] int tcp_port() const noexcept { return bound_tcp_port_; }
-  /// Connections accepted (rejected excess ones included) and dropped on
-  /// bad framing.
+  /// Connections accepted (rejected excess ones included).
   [[nodiscard]] std::int64_t connections() const noexcept {
     return connections_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t bad_frames() const noexcept {
-    return bad_frames_.load(std::memory_order_relaxed);
   }
 
   /// Live-connection cap from the soft RLIMIT_NOFILE, read when run()
@@ -207,7 +203,6 @@ class ConnectionHost {
   void reap(bool all);
 
   std::string who_;
-  std::string bad_frame_counter_;
   Hooks hooks_;
   std::string socket_path_;
   int unix_fd_ = -1;
@@ -215,7 +210,6 @@ class ConnectionHost {
   int bound_tcp_port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> connections_{0};
-  std::atomic<std::int64_t> bad_frames_{0};
   /// Touched only by the thread in run() (and the destructor after it).
   std::list<Connection> live_;
   std::vector<std::pair<int, Clock::time_point>> rejected_;

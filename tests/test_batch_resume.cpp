@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -23,11 +24,13 @@
 #include "alloc/first_fit.h"
 #include "alloc/intersection_graph.h"
 #include "alloc/pool_checker.h"
+#include "graphs/filterbank.h"
 #include "lifetime/lifetime_extract.h"
 #include "lifetime/schedule_tree.h"
 #include "obs/json_report.h"
 #include "pipeline/batch.h"
 #include "pipeline/explore.h"
+#include "pipeline/governor.h"
 #include "sdf/io.h"
 #include "sdf/repetitions.h"
 #include "util/fault.h"
@@ -336,6 +339,41 @@ TEST_F(BatchResume, RetriesAndWatchdogTalliesAreConsistent) {
   parallel.jobs = 8;
   const ExploreResult par = explore_designs(g, parallel);
   EXPECT_EQ(fingerprint(par), fingerprint(requeued));
+}
+
+TEST_F(BatchResume, WatchdogRequeuePastTheDeadlineStillYieldsItsPoint) {
+  // qmf235(4)'s period is 8250 firings: more than one 4096-firing check
+  // stride of the simulator, far fewer than the 2^22 it bounds. Which
+  // tasks fail is keyed by fault context only, so a sweep under a deadline
+  // that has already passed requeues exactly the tasks an ungoverned sweep
+  // requeues, and the flat retries land instead of being dropped.
+  const Graph g = qmf235(4);
+  ExploreOptions options;
+  options.watchdog_requeue = true;
+  std::uint64_t seed = 0;
+  ExploreResult free_run;
+  for (std::uint64_t s = 1; s <= 64 && free_run.watchdog_requeues == 0; ++s) {
+    fault::configure("explore_point:4", s);
+    free_run = explore_designs(g, options);
+    seed = s;
+  }
+  ASSERT_GT(free_run.watchdog_requeues, 0) << "no seed requeued a task";
+
+  ResourceGovernor governor(ResourceBudget{/*deadline_ms=*/1, 0});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(governor.deadline_expired());
+  fault::configure("explore_point:4", seed);
+  const ResourceGovernor::Scope scope(governor);
+  const ExploreResult late = explore_designs(g, options);
+  EXPECT_EQ(late.watchdog_requeues, free_run.watchdog_requeues);
+  EXPECT_EQ(late.points_dropped, free_run.points_dropped);
+  bool saw_watchdog_point = false;
+  for (const DesignPoint& p : late.points) {
+    if (p.degraded_from.find(">watchdog") != std::string::npos) {
+      saw_watchdog_point = true;
+    }
+  }
+  EXPECT_TRUE(saw_watchdog_point);
 }
 
 TEST_F(BatchResume, ExploreCancelStopsAdmittingTasks) {

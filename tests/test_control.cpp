@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/counters.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 #include "service/control.h"
 #include "service/protocol.h"
 #include "service/qos.h"
@@ -392,57 +391,17 @@ TEST(TraceFile, UnparseableRecordIsAParseError) {
 
 // -------------------------------------------------- telemetry windows
 
-/// CounterWindow owns no global state, but the counter table it reads is
-/// global — enable a fresh session per test.
-class ControlTelemetryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::set_enabled(true);
-    obs::reset();
-  }
-  void TearDown() override {
-    obs::set_enabled(false);
-    obs::reset();
-  }
-};
-
-TEST_F(ControlTelemetryTest, CounterWindowReportsDeltasAndRearms) {
-  obs::CounterWindow window;
-  obs::count("service.test.a", 5);
-  auto first = window.snapshot("service.");
-  EXPECT_EQ(first.at("service.test.a"), 5);
-
-  obs::count("service.test.a", 2);
-  auto second = window.snapshot("service.");
-  EXPECT_EQ(second.at("service.test.a"), 2);  // delta, not the total 7
-
-  // Nothing moved: the window is empty, not a repeat of stale totals.
-  EXPECT_TRUE(window.snapshot("service.").empty());
-}
-
-TEST_F(ControlTelemetryTest, CounterWindowFiltersByPrefix) {
-  obs::CounterWindow window;
-  obs::count("service.test.a", 1);
-  obs::count("pipeline.test.b", 1);
-  auto snap = window.snapshot("service.");
-  EXPECT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap.count("pipeline.test.b"), 0u);
-  // The baseline re-armed against the FULL table: the pipeline counter
-  // does not reappear as a stale delta under a wider prefix later.
-  EXPECT_TRUE(window.snapshot("").empty());
-}
-
 TEST(LatencyWindow, DeltaSinceSubtractsAnEarlierSnapshot) {
-  LatencyHistogram h;
+  obs::LogHistogram h;
   h.record(50);
   h.record(5'000);
-  const LatencyHistogram baseline = h;
+  const obs::HistogramSnapshot baseline = h.snapshot();
   h.record(50);
   h.record(200'000);
-  const LatencyHistogram delta = h.delta_since(baseline);
+  const obs::HistogramSnapshot delta = h.snapshot().delta_since(baseline);
   EXPECT_EQ(delta.count, 2);
-  EXPECT_EQ(delta.sum_us, 200'050);
-  EXPECT_EQ(h.count, 4);  // the source histogram is untouched
+  EXPECT_EQ(delta.sum, 200'050);
+  EXPECT_EQ(h.snapshot().count, 4);  // the source histogram is untouched
 }
 
 // ------------------------------------------------- trace simulation

@@ -34,6 +34,24 @@ std::size_t count_spans(const std::string& name) {
                     [&](const obs::SpanRecord& r) { return r.name == name; }));
 }
 
+TEST_F(ObsTest, SpanStoreIsCappedAndCountsDrops) {
+  {
+    const obs::Span open("open");  // stays open across the flood
+    for (std::size_t i = 0; i < obs::kMaxSpans + 10; ++i) {
+      const obs::Span s("flood");
+    }
+    EXPECT_EQ(obs::spans().size(), obs::kMaxSpans);
+  }
+  EXPECT_EQ(obs::counter("obs.spans_dropped"), 11);
+  // Dropping the newest kept the open span's slot: it closed normally.
+  EXPECT_GE(obs::spans().front().end_ns, 0);
+  // Dropped spans leave the nesting depth untouched.
+  obs::reset();
+  { const obs::Span after("after"); }
+  ASSERT_EQ(obs::spans().size(), 1u);
+  EXPECT_EQ(obs::spans().front().depth, 0);
+}
+
 TEST_F(ObsTest, SpanNestingTracksDepth) {
   {
     obs::Span outer("outer");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "alloc/clique.h"
 #include "alloc/pool_checker.h"
 #include "graphs/cddat.h"
@@ -9,8 +13,10 @@
 #include "graphs/homogeneous.h"
 #include "graphs/ptolemy.h"
 #include "graphs/satellite.h"
+#include "pipeline/governor.h"
 #include "sched/simulator.h"
 #include "sdf/analysis.h"
+#include "sdf/io.h"
 
 namespace sdf {
 namespace {
@@ -210,6 +216,68 @@ TEST(Pipeline, AllocationOrderOptionChangesEnumeration) {
   const CompileResult rs = compile(g, start);
   EXPECT_TRUE(allocation_is_valid(rd.wig, rd.allocation));
   EXPECT_TRUE(allocation_is_valid(rs.wig, rs.allocation));
+}
+
+// A 5-actor graph whose period is ~1e13 firings. Ordering, the loop DP
+// and allocation each finish in well under a millisecond; only the
+// simulator's own deadline check can bound a budgeted compile of it.
+TEST(Pipeline, DeadlineBoundsTheSimulationOfAHugePeriod) {
+  const Graph g = parse_graph_text(
+      "graph unnamed\n"
+      "actor a0\nactor a1\nactor a2\nactor a3\nactor a4\n"
+      "edge a0 a1 56423 217\n"
+      "edge a0 a2 29 11\n"
+      "edge a1 a3 3253 6562\n"
+      "edge a2 a4 9477 87562 541376\n");
+  for (const LoopOptimizer opt :
+       {LoopOptimizer::kFlat, LoopOptimizer::kDppo, LoopOptimizer::kSdppo,
+        LoopOptimizer::kChainExact}) {
+    SCOPED_TRACE(std::string(optimizer_name(opt)));
+    CompileOptions opts;
+    opts.optimizer = opt;
+    ResourceBudget budget;
+    budget.deadline_ms = 200;
+    ResourceGovernor governor(budget);
+    const ResourceGovernor::Scope scope(governor);
+    const auto t0 = std::chrono::steady_clock::now();
+    const Result<CompileResult> res = compile_checked(g, opts);
+    const auto elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().code, ErrorCode::kResourceExhausted);
+    EXPECT_LT(elapsed_ms, 5000);
+  }
+}
+
+// A deadline that has already passed degrades every DP rung to kFlat; the
+// simulator then walks qmf235(5)'s 50000 firings (more than one 4096-firing
+// check stride, fewer than the 2^22 that it bounds) and the compile still
+// ends valid instead of failing.
+TEST(Pipeline, DeadlineDegradedCompileOfALongPeriodStillFinishes) {
+  const Graph g = qmf235(5);
+  for (const LoopOptimizer opt :
+       {LoopOptimizer::kDppo, LoopOptimizer::kSdppo,
+        LoopOptimizer::kChainExact}) {
+    SCOPED_TRACE(std::string(optimizer_name(opt)));
+    CompileOptions opts;
+    opts.optimizer = opt;
+    ResourceBudget budget;
+    budget.deadline_ms = 1;
+    ResourceGovernor governor(budget);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(governor.deadline_expired());
+    const ResourceGovernor::Scope scope(governor);
+    const Result<CompileResult> res = compile_checked(g, opts);
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const CompileResult& r = res.value();
+    EXPECT_EQ(r.effective_optimizer, LoopOptimizer::kFlat);
+    EXPECT_FALSE(r.degraded_from.empty());
+    EXPECT_EQ(r.schedule.total_firings(), 50000);
+    EXPECT_GT(r.nonshared_bufmem, 0);
+    EXPECT_TRUE(allocation_is_valid(r.wig, r.allocation));
+  }
 }
 
 }  // namespace

@@ -976,6 +976,39 @@ TEST(Service, StatsExposeControlPlaneAndCostModel) {
   EXPECT_EQ(doc.find("window")->find("requests")->as_int(), 1);
 }
 
+TEST(Service, StatsReadsChangeNothing) {
+  Scratch scratch;
+  ServerOptions opts;
+  opts.socket_path = scratch.socket_path();
+  opts.cache_dir = scratch.cache_dir();
+  RunningServer running(opts);
+  Client client({scratch.socket_path(), 0});
+  ASSERT_TRUE(client.compile(tiny_request()).ok());  // miss
+  ASSERT_TRUE(client.compile(tiny_request()).ok());  // hit
+
+  // Two reads with no traffic between them: the controller is off, so
+  // the window covers the time since start and only window_ms moves.
+  const obs::Json first = obs::Json::parse(client.stats());
+  const obs::Json second = obs::Json::parse(client.stats());
+  obs::Json w1 = *first.find("window");
+  obs::Json w2 = *second.find("window");
+  w1["window_ms"] = 0;
+  w2["window_ms"] = 0;
+  EXPECT_TRUE(w1 == w2) << w1.dump(2) << "\n" << w2.dump(2);
+  EXPECT_EQ(w1.find("requests")->as_int(), 2);
+  EXPECT_EQ(w1.find("cache_hits")->as_int(), 1);
+  EXPECT_EQ(w1.find("latency")->find("count")->as_int(), 2);
+  // The counters come from the registry, with the telemetry session off.
+  const obs::Json& counters = *w1.find("counters");
+  EXPECT_EQ(counters.find("service.requests")->as_int(), 2);
+  EXPECT_EQ(counters.find("service.cache.hits")->as_int(), 1);
+  EXPECT_EQ(counters.find("service.tenant.public.cache_misses")->as_int(), 1);
+  EXPECT_EQ(counters.find("service.cache.inserts")->as_int(), 1);
+  // Lifetime totals agree with the window and with stats().
+  EXPECT_EQ(second.find("requests")->as_int(), 2);
+  EXPECT_EQ(running.server->stats().requests, 2);
+}
+
 TEST(Service, ControlTickMovesTheAdmissionKnobs) {
   Scratch scratch;
   ServerOptions opts;
