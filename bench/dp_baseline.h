@@ -1,11 +1,10 @@
-// Frozen pre-arena DP implementations, kept as the measurement baseline
-// for bench/micro_scheduling.cpp: nested-vector prefix squares and
+// Frozen pre-arena DP implementations: nested-vector prefix squares and
 // tables, one SplitCosts oracle rebuilt per call — exactly the shape the
 // production code had before the arena/structure-of-arrays rewrite
-// (governor charges and telemetry stripped; neither side pays them
-// here). The bench cross-checks every baseline result against the
-// production implementation and exits non-zero on any divergence, so
-// this copy cannot silently drift.
+// (governor charges and telemetry stripped). The one copy serves two
+// readers: tests/test_dp_differential.cpp pins the production DPs
+// byte-identical to it, and bench/micro_scheduling.cpp measures against
+// it (cross-checking every result, exiting non-zero on divergence).
 #pragma once
 
 #include <algorithm>

@@ -23,9 +23,9 @@
 // with the documented "interrupted" code (23); a batch with failed jobs
 // exits 1 after draining everything else.
 //
-// Every subcommand accepts `--trace <file.json>`: telemetry is enabled for
-// the run and a `sdfmem.telemetry.v1` report (see docs/OBSERVABILITY.md)
-// is written to the file on exit.
+// Every subcommand but `route` accepts `--trace <file.json>`: telemetry is
+// enabled for the run and a `sdfmem.telemetry.v1` report (see
+// docs/OBSERVABILITY.md) is written to the file on exit.
 //
 // Service mode (docs/SERVICE.md): `serve` runs the long-lived compile
 // daemon on `--socket <path>` (Unix domain) and/or `--port N` (loopback
@@ -636,6 +636,13 @@ int main(int argc, char** argv) {
     }
     if (worker_specs.empty()) {
       std::fprintf(stderr, "error: route requires at least one --worker\n");
+      usage();
+      return kUsageExit;
+    }
+    if (!trace_path.empty()) {
+      std::fprintf(stderr,
+                   "error: route takes no --trace; read its totals with "
+                   "client --stats\n");
       usage();
       return kUsageExit;
     }

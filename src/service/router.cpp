@@ -504,60 +504,30 @@ void Router::send_error(int fd, const Diagnostic& diag) {
   send_frame(fd, FrameKind::kErrorResponse, doc.dump(2));
 }
 
-RouterStats Router::stats() const {
-  RouterStats out;
-  out.requests = metrics_.get(RouterMetric::kRequests);
-  out.connections = host_.connections();
-  out.bad_frames = metrics_.get(RouterMetric::kBadFrames);
-  out.errors = metrics_.get(RouterMetric::kErrors);
-  out.lookup_hits = metrics_.get(RouterMetric::kLookupHits);
-  out.peer_hits = metrics_.get(RouterMetric::kPeerHits);
-  out.warms = metrics_.get(RouterMetric::kWarms);
-  out.compiles = metrics_.get(RouterMetric::kCompiles);
-  out.rerouted = metrics_.get(RouterMetric::kRerouted);
-  out.unavailable = metrics_.get(RouterMetric::kUnavailable);
-  out.worker_down = metrics_.get(RouterMetric::kWorkerDown);
-  out.breaker_open = metrics_.get(RouterMetric::kBreakerOpen);
-  out.breaker_half_open = metrics_.get(RouterMetric::kBreakerHalfOpen);
-  out.breaker_close = metrics_.get(RouterMetric::kBreakerClose);
-  out.breaker_reopen = metrics_.get(RouterMetric::kBreakerReopen);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, st] : workers_) {
-    RouterWorkerStats ws;
-    ws.endpoint = st.cfg.endpoint.name();
-    ws.breaker = st.breaker;
-    ws.alive = st.breaker != BreakerState::kOpen;
-    ws.consecutive_failures = st.consecutive_failures;
-    ws.peer_support = st.peer_support;
-    ws.forwarded = st.forwarded;
-    ws.failures = st.failures;
-    out.workers.emplace(id, std::move(ws));
-  }
-  return out;
-}
-
 std::string Router::stats_json() const {
-  const RouterStats snapshot = stats();
   obs::Json doc = obs::Json::object();
   doc["schema"] = "sdfmem.routestats.v1";
-  doc["connections"] = snapshot.connections;
+  doc["connections"] = host_.connections();
   // Every registry metric, under its name without the prefix.
   constexpr std::string_view kPrefix = "service.route.";
   for (std::size_t m = 0; m < RouterMetric::kCount; ++m) {
     doc[kRouterMetrics[m].name.substr(kPrefix.size())] = metrics_.get(m);
   }
   obs::Json workers = obs::Json::object();
-  for (const auto& [id, ws] : snapshot.workers) {
-    obs::Json w = obs::Json::object();
-    w["endpoint"] = ws.endpoint;
-    w["alive"] = ws.alive;
-    w["breaker"] = std::string(breaker_state_name(ws.breaker));
-    w["consecutive_failures"] =
-        static_cast<std::int64_t>(ws.consecutive_failures);
-    w["peer_support"] = ws.peer_support;
-    w["forwarded"] = ws.forwarded;
-    w["failures"] = ws.failures;
-    workers[id] = std::move(w);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [id, st] : workers_) {
+      obs::Json w = obs::Json::object();
+      w["endpoint"] = st.cfg.endpoint.name();
+      w["alive"] = st.breaker != BreakerState::kOpen;
+      w["breaker"] = std::string(breaker_state_name(st.breaker));
+      w["consecutive_failures"] =
+          static_cast<std::int64_t>(st.consecutive_failures);
+      w["peer_support"] = st.peer_support;
+      w["forwarded"] = st.forwarded;
+      w["failures"] = st.failures;
+      workers[id] = std::move(w);
+    }
   }
   doc["workers"] = std::move(workers);
   return doc.dump(2);

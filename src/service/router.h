@@ -48,7 +48,7 @@
 // negotiation by behaviour, like the v2 tenancy schema.
 //
 // Metrics (docs/OBSERVABILITY.md): kRouterMetrics, counted once each in
-// a lock-free obs::Registry that stats() reads.
+// a lock-free obs::Registry that stats_json() reads.
 #pragma once
 
 #include <cstdint>
@@ -105,16 +105,6 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] std::string_view breaker_state_name(BreakerState s) noexcept;
 
-struct RouterWorkerStats {
-  std::string endpoint;
-  bool alive = true;  ///< derived: breaker != kOpen (dashboards, smoke)
-  BreakerState breaker = BreakerState::kClosed;
-  int consecutive_failures = 0;
-  bool peer_support = true;
-  std::int64_t forwarded = 0;  ///< compile requests sent to this worker
-  std::int64_t failures = 0;   ///< connect/timeout/torn-reply events
-};
-
 /// Router registry slots, in kRouterMetrics order.
 struct RouterMetric {
   enum : std::size_t {
@@ -134,25 +124,6 @@ inline constexpr obs::MetricDef kRouterMetrics[] = {
     {"service.route.breaker_close"}, {"service.route.breaker_reopen"},
     {"service.route.workers_alive", obs::MetricKind::kGauge}};
 static_assert(std::size(kRouterMetrics) == RouterMetric::kCount);
-
-struct RouterStats {
-  std::int64_t requests = 0;
-  std::int64_t connections = 0;
-  std::int64_t bad_frames = 0;
-  std::int64_t errors = 0;       ///< error frames the router itself sent
-  std::int64_t lookup_hits = 0;  ///< served from the shard owner's cache
-  std::int64_t peer_hits = 0;    ///< served from a non-owner peer's cache
-  std::int64_t warms = 0;        ///< successful owner warm inserts
-  std::int64_t compiles = 0;     ///< full compiles forwarded
-  std::int64_t rerouted = 0;     ///< owner failed mid-request, retried
-  std::int64_t unavailable = 0;  ///< requests failed: no live worker
-  std::int64_t worker_down = 0;  ///< breaker closed/half-open -> open
-  std::int64_t breaker_open = 0;       ///< closed -> open (threshold)
-  std::int64_t breaker_half_open = 0;  ///< open -> half-open (probe)
-  std::int64_t breaker_close = 0;      ///< half-open -> closed (trial ok)
-  std::int64_t breaker_reopen = 0;     ///< half-open -> open (trial bad)
-  std::map<std::string, RouterWorkerStats> workers;
-};
 
 class Router {
  public:
@@ -175,9 +146,8 @@ class Router {
 
   [[nodiscard]] int tcp_port() const noexcept { return host_.tcp_port(); }
 
-  [[nodiscard]] RouterStats stats() const;
-
-  /// Live stats as the kStatsResponse payload ("sdfmem.routestats.v1").
+  /// Live stats as the kStatsResponse payload ("sdfmem.routestats.v1"),
+  /// the one read of router state.
   [[nodiscard]] std::string stats_json() const;
 
   /// The configured shard owner for a key, ignoring liveness (tests and

@@ -623,43 +623,6 @@ void Server::send_error(int fd, const Diagnostic& diag) {
   send_frame(fd, FrameKind::kErrorResponse, doc.dump(2));
 }
 
-ServerStats Server::stats() const {
-  const Reading r = read();
-  const std::vector<std::int64_t>& v = r.values;
-  ServerStats out;
-  out.requests = v[ServerMetric::kRequests];
-  out.responses_ok = v[ServerMetric::kResponsesOk];
-  out.cache_hits = v[ServerMetric::kCacheHits];
-  out.cache_misses = v[ServerMetric::kCacheMisses];
-  out.overloaded = v[ServerMetric::kOverloaded];
-  out.shed_degraded = v[ServerMetric::kShedDegraded];
-  out.errors = v[ServerMetric::kErrors];
-  out.bad_frames = v[ServerMetric::kBadFrames];
-  out.unknown_tenant = v[ServerMetric::kUnknownTenant];
-  out.peer_lookups = v[ServerMetric::kPeerLookups];
-  out.peer_lookup_hits = v[ServerMetric::kPeerLookupHits];
-  out.peer_inserts = v[ServerMetric::kPeerInserts];
-  out.connections = host_.connections();
-  out.max_queue_depth = v[ServerMetric::kMaxQueueDepth];
-  out.cache_write_failures = v[ServerMetric::kCacheWriteFailures];
-  out.latency = r.latency;
-  for (std::size_t t = 0; t < tenant_names_.size(); ++t) {
-    const auto tenant = [&](std::size_t m) { return v[metrics_.slot(t, m)]; };
-    TenantStats& ts = out.tenants[tenant_names_[t]];
-    ts.requests = tenant(TenantMetric::kRequests);
-    ts.cache_hits = tenant(TenantMetric::kCacheHits);
-    ts.cache_misses = tenant(TenantMetric::kCacheMisses);
-    ts.overloaded = tenant(TenantMetric::kOverloaded);
-    ts.shed_degraded = tenant(TenantMetric::kShedDegraded);
-    ts.throttle_wait_us = tenant(TenantMetric::kThrottleWaitUs);
-    ts.cache_inserts = tenant(TenantMetric::kCacheInserts);
-    ts.cache_bytes = tenant(TenantMetric::kCacheBytes);
-    ts.quota_denied = tenant(TenantMetric::kQuotaDenied);
-    ts.latency = tenant_latency_[t].snapshot();
-  }
-  return out;
-}
-
 std::string Server::stats_json() const {
   const Reading r = read();
   const auto get = [&r](std::size_t slot) { return r.values[slot]; };

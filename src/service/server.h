@@ -70,16 +70,15 @@
 // is fixed for the server's life, so a client cannot mint names). A
 // request resolves its tenant to an index once; after that, recording is
 // an index and a relaxed atomic add. Request latency goes into one
-// obs::LogHistogram per server and one per tenant. stats() and
-// stats_json() read the registry and change nothing; the control loop
-// diffs each read against its own previous one. Under `serve --trace`
-// run() copies the totals into the telemetry session once, on drain.
+// obs::LogHistogram per server and one per tenant. stats_json() reads
+// the registry and changes nothing; the control loop diffs each read
+// against its own previous one. Under `serve --trace` run() copies the
+// totals into the telemetry session once, on drain.
 #pragma once
 
 #include <iterator>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -210,43 +209,6 @@ inline constexpr obs::MetricDef kTenantMetrics[] = {
     {"service.tenant.<t>.cache_quota_denied"}};
 static_assert(std::size(kTenantMetrics) == TenantMetric::kCount);
 
-/// Per-tenant slice of the server counters. Every registered tenant has
-/// an entry, and only those, so a client cannot mint stats keys.
-struct TenantStats {
-  std::int64_t requests = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t overloaded = 0;
-  std::int64_t shed_degraded = 0;
-  std::int64_t throttle_wait_us = 0;  ///< total time queued before grant
-  std::int64_t cache_inserts = 0;
-  std::int64_t cache_bytes = 0;       ///< bytes inserted (quota basis)
-  std::int64_t quota_denied = 0;      ///< inserts skipped: over quota
-  obs::HistogramSnapshot latency;     ///< request latency, µs
-};
-
-struct ServerStats {
-  std::int64_t requests = 0;
-  std::int64_t responses_ok = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t overloaded = 0;
-  std::int64_t shed_degraded = 0;  ///< served, but at a load-capped tier
-  std::int64_t errors = 0;         ///< error responses sent
-  std::int64_t bad_frames = 0;     ///< connections dropped on bad framing
-  std::int64_t unknown_tenant = 0; ///< requests naming no registered tenant
-  std::int64_t peer_lookups = 0;   ///< fleet peer-lookup requests served
-  std::int64_t peer_lookup_hits = 0;
-  std::int64_t peer_inserts = 0;   ///< fleet warm inserts accepted
-  std::int64_t connections = 0;
-  std::int64_t max_queue_depth = 0;
-  /// Durable cache inserts that failed (disk full, injected fault); the
-  /// response was still served, just not cached.
-  std::int64_t cache_write_failures = 0;
-  obs::HistogramSnapshot latency;  ///< request latency, µs
-  std::map<std::string, TenantStats> tenants;
-};
-
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -272,9 +234,8 @@ class Server {
   /// The bound TCP port (after start()); 0 when the TCP listener is off.
   [[nodiscard]] int tcp_port() const noexcept { return host_.tcp_port(); }
 
-  [[nodiscard]] ServerStats stats() const;
-
-  /// Live stats as the kStatsResponse JSON document.
+  /// Live stats as the kStatsResponse JSON document, the one read of
+  /// server state.
   [[nodiscard]] std::string stats_json() const;
 
   /// Whether the adaptive controller is live (`control` master switch

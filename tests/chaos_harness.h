@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json_report.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/router.h"
@@ -169,10 +170,10 @@ class ChaosFleet {
   [[nodiscard]] bool wait_all_alive(std::chrono::milliseconds timeout) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
-      const RouterStats stats = router_->stats();
+      const obs::Json stats = obs::Json::parse(router_->stats_json());
       int alive = 0;
-      for (const auto& [id, w] : stats.workers) {
-        if (w.alive) ++alive;
+      for (const auto& [id, w] : stats.find("workers")->members()) {
+        if (w.find("alive")->as_bool()) ++alive;
       }
       if (alive == kWorkers) return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -31,6 +31,7 @@
 #include "sdf/io.h"
 #include "service/protocol.h"
 #include "service/retry.h"
+#include "stats_doc.h"
 #include "util/fault.h"
 #include "util/status.h"
 
@@ -43,6 +44,9 @@ using chaos::ChaosWorker;
 using chaos::chaos_graph;
 using chaos::compile_once;
 using chaos::draw;
+using sdf::testing::field;
+using sdf::testing::stats_doc;
+using sdf::testing::window_counter;
 
 class Chaos : public ::testing::Test {
  protected:
@@ -148,7 +152,8 @@ TEST_F(Chaos, CacheWriteFaultServesUncachedAndRecovers) {
   const Result<std::string> first =
       compile_once(sopts.socket_path, chaos_graph(500));
   ASSERT_TRUE(first.ok()) << first.error().message;
-  EXPECT_EQ(worker.server()->stats().cache_write_failures, 1);
+  EXPECT_EQ(field(stats_doc(*worker.server()), "cache.write_failures").as_int(),
+            1);
   EXPECT_EQ(fault::fire_count("svc_cache_write"), 1);
 
   // Nothing was cached (the hot tier only holds disk-vouched bytes), so
@@ -158,13 +163,15 @@ TEST_F(Chaos, CacheWriteFaultServesUncachedAndRecovers) {
       compile_once(sopts.socket_path, chaos_graph(500));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), first.value());
-  EXPECT_EQ(worker.server()->stats().cache_misses, 2);
+  EXPECT_EQ(window_counter(stats_doc(*worker.server()), "service.cache.misses"),
+            2);
 
   const Result<std::string> third =
       compile_once(sopts.socket_path, chaos_graph(500));
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third.value(), first.value());
-  EXPECT_EQ(worker.server()->stats().cache_hits, 1);
+  EXPECT_EQ(window_counter(stats_doc(*worker.server()), "service.cache.hits"),
+            1);
 }
 
 TEST_F(Chaos, CacheReadFaultIsCleanMissNotCorruption) {
@@ -188,7 +195,8 @@ TEST_F(Chaos, CacheReadFaultIsCleanMissNotCorruption) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), first.value());
   EXPECT_EQ(fault::fire_count("svc_cache_read"), 1);
-  EXPECT_EQ(worker.server()->stats().cache_write_failures, 0);
+  EXPECT_EQ(field(stats_doc(*worker.server()), "cache.write_failures").as_int(),
+            0);
 }
 
 // ---------------------------------------------------------- the scrubber
@@ -241,19 +249,15 @@ TEST_F(Chaos, ScrubberQuarantinesCorruptObjectAndHeals) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   // Next read is a clean miss: recompile, byte-identical, re-cached.
-  const std::int64_t misses_before = worker.server()->stats().cache_misses;
+  const std::int64_t misses_before =
+      window_counter(stats_doc(*worker.server()), "service.cache.misses");
   const Result<std::string> second =
       compile_once(sopts.socket_path, chaos_graph(502));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), first.value());
-  EXPECT_EQ(worker.server()->stats().cache_misses, misses_before + 1);
-
-  const obs::Json stats = obs::Json::parse(worker.server()->stats_json());
-  const obs::Json* cache = stats.find("cache");
-  ASSERT_NE(cache, nullptr);
-  const obs::Json* quarantine_count = cache->find("scrub_quarantined");
-  ASSERT_NE(quarantine_count, nullptr);
-  EXPECT_GE(quarantine_count->as_int(), 1);
+  const obs::Json stats = stats_doc(*worker.server());
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), misses_before + 1);
+  EXPECT_GE(field(stats, "cache.scrub_quarantined").as_int(), 1);
 }
 
 // -------------------------------------------------- breaker state machine
@@ -269,25 +273,22 @@ TEST_F(Chaos, BreakerOpensOnDeadWorkerAndClosesViaProbeAndTrial) {
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   bool opened = false;
   while (!opened && std::chrono::steady_clock::now() < deadline) {
-    const RouterStats now = fleet.router()->stats();
-    const auto it = now.workers.find("w1");
-    if (it != now.workers.end() && it->second.breaker == BreakerState::kOpen) {
-      opened = true;
-    }
+    const obs::Json now = stats_doc(*fleet.router());
+    const obs::Json* w1 = field(now, "workers").find("w1");
+    opened = w1 != nullptr && field(*w1, "breaker").as_string() == "open";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_TRUE(opened) << "breaker never opened for the dead worker";
-  const RouterStats down = fleet.router()->stats();
-  EXPECT_GE(down.worker_down, 1);
-  ASSERT_TRUE(down.workers.contains("w1"));
-  EXPECT_FALSE(down.workers.at("w1").alive);
+  const obs::Json down = stats_doc(*fleet.router());
+  EXPECT_GE(field(down, "worker_down").as_int(), 1);
+  EXPECT_FALSE(field(down, "workers.w1.alive").as_bool());
 
   // Restart: the prober's next success moves it open → half-open (alive
   // again, but only a single trial request may cross).
   fleet.restart(0);
   ASSERT_TRUE(fleet.wait_all_alive(std::chrono::seconds(5)));
-  const RouterStats half = fleet.router()->stats();
-  EXPECT_GE(half.breaker_half_open, 1);
+  EXPECT_GE(field(stats_doc(*fleet.router()), "breaker_half_open").as_int(),
+            1);
 
   // Drive compiles until one lands on w1 as shard owner — that trial's
   // success closes the breaker for good.
@@ -305,11 +306,10 @@ TEST_F(Chaos, BreakerOpensOnDeadWorkerAndClosesViaProbeAndTrial) {
     if (drove_w1) break;
   }
   ASSERT_TRUE(drove_w1) << "no probe graph landed on w1";
-  const RouterStats closed = fleet.router()->stats();
-  EXPECT_GE(closed.breaker_close, 1);
-  ASSERT_TRUE(closed.workers.contains("w1"));
-  EXPECT_TRUE(closed.workers.at("w1").alive);
-  EXPECT_EQ(closed.workers.at("w1").breaker, BreakerState::kClosed);
+  const obs::Json closed = stats_doc(*fleet.router());
+  EXPECT_GE(field(closed, "breaker_close").as_int(), 1);
+  EXPECT_TRUE(field(closed, "workers.w1.alive").as_bool());
+  EXPECT_EQ(field(closed, "workers.w1.breaker").as_string(), "closed");
 }
 
 // ------------------------------------------------ injected service chaos

@@ -155,7 +155,8 @@ TEST(ConnectionHost, CapRejectsExcessTypedAndAcceptBacksOffWhenOutOfFds) {
       if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     if (!served) return 9;
-    if (running.server()->stats().connections < cap + 3) return 10;
+    const obs::Json stats = obs::Json::parse(running.server()->stats_json());
+    if (stats.find("connections")->as_int() < cap + 3) return 10;
     return 0;
   });
   EXPECT_EQ(status, 0) << "child failed at step " << status;

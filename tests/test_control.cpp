@@ -498,7 +498,9 @@ TEST(SimulateTrace, IsByteDeterministicAcrossRuns) {
         EXPECT_EQ(a.intervals[i].overloaded, b.intervals[i].overloaded);
         EXPECT_EQ(a.intervals[i].p95_us, b.intervals[i].p95_us);
       }
-      if (on) EXPECT_FALSE(a.decisions.empty());
+      if (on) {
+        EXPECT_FALSE(a.decisions.empty());
+      }
     }
   }
 }

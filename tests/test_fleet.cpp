@@ -28,12 +28,15 @@
 #include "service/ring.h"
 #include "service/router.h"
 #include "service/server.h"
+#include "stats_doc.h"
 #include "util/shutdown.h"
 
 namespace sdf::svc {
 namespace {
 
 namespace fs = std::filesystem;
+using sdf::testing::field;
+using sdf::testing::stats_doc;
 
 /// A fresh scratch directory with sockaddr_un-short socket paths.
 struct Scratch {
@@ -217,19 +220,19 @@ TEST(Fleet, DeterministicShardRoutingAndHotLookups) {
     first_responses[i] = response.value();
   }
 
-  RouterStats stats = router.router->stats();
-  EXPECT_EQ(stats.requests, 8);
-  EXPECT_EQ(stats.compiles, 8);  // all cold: every request forwarded
-  EXPECT_EQ(stats.lookup_hits, 0);
-  EXPECT_EQ(stats.unavailable, 0);
+  obs::Json stats = stats_doc(*router.router);
+  EXPECT_EQ(field(stats, "requests").as_int(), 8);
+  EXPECT_EQ(field(stats, "compiles").as_int(), 8);  // all cold: all forwarded
+  EXPECT_EQ(field(stats, "lookup_hits").as_int(), 0);
+  EXPECT_EQ(field(stats, "unavailable").as_int(), 0);
 
   // Forwarded counts land exactly on the ring owners.
   std::map<std::string, std::int64_t> expected;
   for (int i = 0; i < 8; ++i) {
     ++expected[router.router->shard_owner(shard_key(graph_request(i)))];
   }
-  for (const auto& [id, st] : stats.workers) {
-    EXPECT_EQ(st.forwarded, expected[id]) << "worker " << id;
+  for (const auto& [id, w] : field(stats, "workers").members()) {
+    EXPECT_EQ(field(w, "forwarded").as_int(), expected[id]) << "worker " << id;
   }
 
   // Repeats are served from the shard owner's cache (no recompiles) and
@@ -240,9 +243,9 @@ TEST(Fleet, DeterministicShardRoutingAndHotLookups) {
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response.value(), first_responses[i]) << "graph " << i;
   }
-  stats = router.router->stats();
-  EXPECT_EQ(stats.compiles, 8) << "a repeat was recompiled";
-  EXPECT_EQ(stats.lookup_hits, 8);
+  stats = stats_doc(*router.router);
+  EXPECT_EQ(field(stats, "compiles").as_int(), 8) << "a repeat was recompiled";
+  EXPECT_EQ(field(stats, "lookup_hits").as_int(), 8);
 }
 
 TEST(Fleet, PeerHitWarmsTheShardOwner) {
@@ -279,18 +282,18 @@ TEST(Fleet, PeerHitWarmsTheShardOwner) {
   const Result<std::string> routed = compile_via(ropts.socket_path, req);
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.value(), seeded.value());
-  RouterStats stats = router.router->stats();
-  EXPECT_EQ(stats.peer_hits, 1);
-  EXPECT_EQ(stats.warms, 1);
-  EXPECT_EQ(stats.compiles, 0) << "peer hit still recompiled";
+  obs::Json stats = stats_doc(*router.router);
+  EXPECT_EQ(field(stats, "peer_hits").as_int(), 1);
+  EXPECT_EQ(field(stats, "warms").as_int(), 1);
+  EXPECT_EQ(field(stats, "compiles").as_int(), 0) << "peer hit recompiled";
 
   // The warm landed: the owner now answers the shard lookup itself.
   const Result<std::string> again = compile_via(ropts.socket_path, req);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), seeded.value());
-  stats = router.router->stats();
-  EXPECT_EQ(stats.lookup_hits, 1);
-  EXPECT_EQ(stats.compiles, 0);
+  stats = stats_doc(*router.router);
+  EXPECT_EQ(field(stats, "lookup_hits").as_int(), 1);
+  EXPECT_EQ(field(stats, "compiles").as_int(), 0);
 }
 
 TEST(Fleet, NoLiveWorkerYieldsTypedUnavailable) {
@@ -309,9 +312,9 @@ TEST(Fleet, NoLiveWorkerYieldsTypedUnavailable) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error().code, ErrorCode::kUnavailable);
   EXPECT_EQ(exit_code_for(response.error().code), 26);
-  const RouterStats stats = router.router->stats();
-  EXPECT_EQ(stats.unavailable, 1);
-  EXPECT_EQ(stats.workers.at("ghost").alive, false);
+  const obs::Json stats = stats_doc(*router.router);
+  EXPECT_EQ(field(stats, "unavailable").as_int(), 1);
+  EXPECT_FALSE(field(stats, "workers.ghost.alive").as_bool());
 }
 
 TEST(Fleet, HealthProbeRevivesARestartedWorker) {
@@ -360,7 +363,7 @@ TEST(Fleet, PinnedIdMismatchCountsAsDown) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool marked_down = false;
   while (std::chrono::steady_clock::now() < deadline) {
-    if (!router.router->stats().workers.at("w1").alive) {
+    if (!field(stats_doc(*router.router), "workers.w1.alive").as_bool()) {
       marked_down = true;
       break;
     }
@@ -476,9 +479,9 @@ TEST(Fleet, KilledWorkerMidLoadReroutesWithoutHangingClients) {
                                << response.error().message;
     EXPECT_EQ(response.value(), pre_kill[i]);
   }
-  const RouterStats stats = router.router->stats();
-  EXPECT_EQ(stats.workers.at("w3").alive, false);
-  EXPECT_GT(stats.rerouted, 0);
+  const obs::Json stats = stats_doc(*router.router);
+  EXPECT_FALSE(field(stats, "workers.w3.alive").as_bool());
+  EXPECT_GT(field(stats, "rerouted").as_int(), 0);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "service/server.h"
 #include "service/trace.h"
 #include "service/transport.h"
+#include "stats_doc.h"
 #include "util/hash.h"
 #include "util/shutdown.h"
 
@@ -32,6 +33,9 @@ namespace sdf::svc {
 namespace {
 
 namespace fs = std::filesystem;
+using sdf::testing::field;
+using sdf::testing::stats_doc;
+using sdf::testing::window_counter;
 
 constexpr std::string_view kTinyGraph =
     "graph tiny\nactor A\nactor B\nedge A B 2 3\n";
@@ -307,10 +311,10 @@ TEST(Service, ColdThenHotAreByteIdentical) {
   EXPECT_GT(results.find("shared_size")->as_int(), 0);
   EXPECT_GT(results.find("nonshared_bufmem")->as_int(), 0);
 
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.requests, 2);
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.cache_misses, 1);
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "requests").as_int(), 2);
+  EXPECT_EQ(window_counter(stats, "service.cache.hits"), 1);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 1);
 }
 
 TEST(Service, HitSurvivesServerRestart) {
@@ -332,7 +336,8 @@ TEST(Service, HitSurvivesServerRestart) {
   const Result<std::string> hot = client.compile(tiny_request());
   ASSERT_TRUE(hot.ok());
   EXPECT_EQ(hot.value(), cold);
-  EXPECT_EQ(restarted.server->stats().cache_hits, 1);
+  EXPECT_EQ(window_counter(stats_doc(*restarted.server), "service.cache.hits"),
+            1);
 }
 
 TEST(Service, CorruptCacheEntryIsRecompiled) {
@@ -443,7 +448,7 @@ TEST(Service, ZeroQueueShedsMissesButServesHits) {
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.error().code, ErrorCode::kOverloaded);
   EXPECT_EQ(exit_code_for(miss.error().code), 24);
-  EXPECT_EQ(running.server->stats().overloaded, 1);
+  EXPECT_EQ(field(stats_doc(*running.server), "overloaded").as_int(), 1);
 }
 
 TEST(Service, HighLoadShedsToFlatTierAndSkipsCache) {
@@ -468,12 +473,12 @@ TEST(Service, HighLoadShedsToFlatTierAndSkipsCache) {
   EXPECT_EQ(results.find("requested_optimizer")->as_string(), "chainx");
   ASSERT_NE(results.find("load_shed"), nullptr);
 
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.shed_degraded, 1);
+  EXPECT_EQ(field(stats_doc(*running.server), "shed_degraded").as_int(), 1);
   // Shed responses are never cached: the same request compiles again.
   const Result<std::string> again = client.compile(req);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(running.server->stats().cache_misses, 2);
+  EXPECT_EQ(window_counter(stats_doc(*running.server), "service.cache.misses"),
+            2);
 }
 
 TEST(Service, BadFramingDropsConnectionWithError) {
@@ -512,7 +517,7 @@ TEST(Service, BadFramingDropsConnectionWithError) {
   const Diagnostic diag = parse_error_response(frame.payload);
   EXPECT_EQ(diag.code, ErrorCode::kBadArgument);
   EXPECT_NE(diag.message.find("bad-magic"), std::string::npos);
-  EXPECT_EQ(running.server->stats().bad_frames, 1);
+  EXPECT_EQ(field(stats_doc(*running.server), "bad_frames").as_int(), 1);
 }
 
 TEST(Service, DrainRemovesSocketAndRefusesNewConnections) {
@@ -538,7 +543,8 @@ TEST(Service, DrainRemovesSocketAndRefusesNewConnections) {
   RunningServer restarted(opts);
   Client client({scratch.socket_path(), 0});
   ASSERT_TRUE(client.compile(tiny_request()).ok());
-  EXPECT_EQ(restarted.server->stats().cache_hits, 1);
+  EXPECT_EQ(window_counter(stats_doc(*restarted.server), "service.cache.hits"),
+            1);
 }
 
 // ---------------------------------------------------------------- tenancy
@@ -587,12 +593,12 @@ TEST(Service, UnknownTenantRejectedTyped) {
   EXPECT_EQ(exit_code_for(r.error().code), 25);
   EXPECT_NE(r.error().message.find("ghost"), std::string::npos);
 
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.unknown_tenant, 1);
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "unknown_tenant").as_int(), 1);
   // Rejected before any work: no compile, no cache traffic, and no
   // stats entry minted for the unknown name (bounded cardinality).
-  EXPECT_EQ(stats.cache_misses, 0);
-  EXPECT_EQ(stats.tenants.count("ghost"), 0u);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 0);
+  EXPECT_EQ(field(stats, "tenants").find("ghost"), nullptr);
 }
 
 TEST(Service, OldProtocolClientLandsInPublic) {
@@ -607,20 +613,12 @@ TEST(Service, OldProtocolClientLandsInPublic) {
   // exactly what a pre-tenancy client sends.
   ASSERT_TRUE(client.compile(tiny_request()).ok());
 
-  const ServerStats stats = running.server->stats();
-  ASSERT_EQ(stats.tenants.count("public"), 1u);
-  EXPECT_EQ(stats.tenants.at("public").requests, 1);
-  EXPECT_EQ(stats.tenants.at("public").cache_misses, 1);
-
-  // The same attribution is visible over the wire in stats_json.
+  // The attribution is visible over the wire in the stats document.
   const obs::Json doc = obs::Json::parse(client.stats());
-  const obs::Json* tenants = doc.find("tenants");
-  ASSERT_NE(tenants, nullptr);
-  const obs::Json* pub = tenants->find("public");
-  ASSERT_NE(pub, nullptr);
-  EXPECT_EQ(pub->find("requests")->as_int(), 1);
-  ASSERT_NE(pub->find("weight"), nullptr);
-  ASSERT_NE(pub->find("latency"), nullptr);
+  EXPECT_EQ(field(doc, "tenants.public.requests").as_int(), 1);
+  EXPECT_EQ(field(doc, "tenants.public.cache_misses").as_int(), 1);
+  EXPECT_EQ(field(doc, "tenants.public.weight").as_double(), 1.0);
+  EXPECT_EQ(field(doc, "tenants.public.latency.count").as_int(), 1);
 }
 
 TEST(Service, WeightedShareOverloadIsPerTenant) {
@@ -656,10 +654,10 @@ TEST(Service, WeightedShareOverloadIsPerTenant) {
   const Result<std::string> light = client.compile(req);
   ASSERT_TRUE(light.ok()) << light.error().message;
 
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.tenants.at("hog").overloaded, 1);
-  EXPECT_EQ(stats.tenants.at("light").overloaded, 0);
-  EXPECT_EQ(stats.overloaded, 1);
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "tenants.hog.overloaded").as_int(), 1);
+  EXPECT_EQ(field(stats, "tenants.light.overloaded").as_int(), 0);
+  EXPECT_EQ(field(stats, "overloaded").as_int(), 1);
 }
 
 TEST(Service, CacheQuotaDeniesInsertButServesSharedHits) {
@@ -684,10 +682,10 @@ TEST(Service, CacheQuotaDeniesInsertButServesSharedHits) {
   ASSERT_TRUE(first.ok()) << first.error().message;
   ASSERT_TRUE(client.compile(req).ok());
   {
-    const ServerStats stats = running.server->stats();
-    EXPECT_EQ(stats.tenants.at("small").cache_misses, 2);
-    EXPECT_EQ(stats.tenants.at("small").quota_denied, 2);
-    EXPECT_EQ(stats.tenants.at("small").cache_inserts, 0);
+    const obs::Json stats = stats_doc(*running.server);
+    EXPECT_EQ(field(stats, "tenants.small.cache_misses").as_int(), 2);
+    EXPECT_EQ(field(stats, "tenants.small.cache_quota_denied").as_int(), 2);
+    EXPECT_EQ(field(stats, "tenants.small.cache_inserts").as_int(), 0);
   }
 
   // `public` (unlimited quota) populates the shared cache...
@@ -701,9 +699,9 @@ TEST(Service, CacheQuotaDeniesInsertButServesSharedHits) {
   const Result<std::string> hit = client.compile(req);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit.value(), first.value());
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.tenants.at("small").cache_hits, 1);
-  EXPECT_EQ(stats.tenants.at("public").cache_inserts, 1);
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "tenants.small.cache_hits").as_int(), 1);
+  EXPECT_EQ(field(stats, "tenants.public.cache_inserts").as_int(), 1);
 }
 
 TEST(Service, ShutdownFlagDrainsRunLoop) {
@@ -805,9 +803,9 @@ TEST(Service, PeerLookupServesExactCachedBytesAndMissesEmpty) {
   ASSERT_EQ(miss.kind, FrameKind::kPeerLookupResponse);
   EXPECT_TRUE(miss.payload.empty());
 
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.peer_lookups, 2);
-  EXPECT_EQ(stats.peer_lookup_hits, 1);
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "peer.lookups").as_int(), 2);
+  EXPECT_EQ(field(stats, "peer.lookup_hits").as_int(), 1);
 }
 
 TEST(Service, PeerInsertIsDurableAndServedBack) {
@@ -827,7 +825,7 @@ TEST(Service, PeerInsertIsDurableAndServedBack) {
                                     encode_peer_lookup(42));
     ASSERT_EQ(hit.kind, FrameKind::kPeerLookupResponse);
     EXPECT_EQ(hit.payload, doc);
-    EXPECT_EQ(running.server->stats().peer_inserts, 1);
+    EXPECT_EQ(field(stats_doc(*running.server), "peer.inserts").as_int(), 1);
   }
   // Durable: the warmed entry survives a worker restart (disk tier, not
   // just the hot tier).
@@ -895,8 +893,8 @@ TEST(Service, HotTierDisabledStillServesFromDisk) {
   const Result<std::string> hot = client.compile(tiny_request());
   ASSERT_TRUE(hot.ok());
   EXPECT_EQ(hot.value(), cold.value());
-  const ServerStats stats = running.server->stats();
-  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(window_counter(stats_doc(*running.server), "service.cache.hits"),
+            1);
 }
 
 // --------------------------------------------------- adaptive control
@@ -1004,9 +1002,8 @@ TEST(Service, StatsReadsChangeNothing) {
   EXPECT_EQ(counters.find("service.cache.hits")->as_int(), 1);
   EXPECT_EQ(counters.find("service.tenant.public.cache_misses")->as_int(), 1);
   EXPECT_EQ(counters.find("service.cache.inserts")->as_int(), 1);
-  // Lifetime totals agree with the window and with stats().
+  // Lifetime totals agree with the window.
   EXPECT_EQ(second.find("requests")->as_int(), 2);
-  EXPECT_EQ(running.server->stats().requests, 2);
 }
 
 TEST(Service, ControlTickMovesTheAdmissionKnobs) {
