@@ -205,34 +205,47 @@ void Server::handle_compile(int fd, std::string_view payload) {
     return fail(diag);
   }
   count_tenant(*t, TenantMetric::kRequests);
-
-  Graph g;
-  try {
-    g = parse_graph_text(req.graph_text);
-  } catch (const std::exception& e) {
-    return fail(diagnostic_from_exception(e));
-  }
-  const std::string canonical = write_graph_text(g);
-  const std::string fingerprint = option_fingerprint(req);
-  const std::uint64_t key = cache_key(canonical, fingerprint);
-  if (recorder_ != nullptr) rec.key_hex = key_hex(key);
-  rec.actors = static_cast<std::int64_t>(g.num_actors());
   rec.deadline_ms = req.deadline_ms;
 
-  if (cache_.has_value()) {
-    if (std::optional<std::string> hit = cache_fetch(key)) {
-      metrics_.add(ServerMetric::kCacheHits);
-      metrics_.add(ServerMetric::kResponsesOk);
-      count_tenant(*t, TenantMetric::kCacheHits);
-      rec.outcome = "hit";
-      rec.full_fidelity = true;  // the cache only holds full fidelity
-      if (recorder_ != nullptr) {
-        rec.response_hash = key_hex(util::fnv1a64(*hit));
-      }
-      send_frame(fd, FrameKind::kCompileResponse, *hit);
-      finish();
-      return;
+  // Parse-free hit (docs/SERVICE.md): canonical text hashes to its own
+  // key, so the hot entry holding that text serves it unparsed.
+  const std::string fingerprint = option_fingerprint(req);
+  std::uint64_t key = cache_key(req.graph_text, fingerprint);
+  HotTier::TextHit hit;
+  if (hot_.has_value()) hit = hot_->lookup_text(key, req.graph_text);
+  Graph g;
+  if (!hit.payload.has_value()) {
+    try {
+      g = parse_graph_text(req.graph_text);
+    } catch (const std::exception& e) {
+      return fail(diagnostic_from_exception(e));
     }
+    const std::string canonical = write_graph_text(g);
+    key = cache_key(canonical, fingerprint);
+    hit.actors = static_cast<std::int64_t>(g.num_actors());
+    // A match an injected fault voided has already read the hot tier.
+    hit.payload = cache_fetch(key, !hit.unusable);
+    if (hit.payload.has_value() && hot_.has_value()) {
+      hot_->attach_text(key, canonical, hit.actors);
+    }
+  }
+  if (recorder_ != nullptr) rec.key_hex = key_hex(key);
+  rec.actors = hit.actors;
+
+  if (hit.payload.has_value()) {
+    metrics_.add(ServerMetric::kCacheHits);
+    metrics_.add(ServerMetric::kResponsesOk);
+    count_tenant(*t, TenantMetric::kCacheHits);
+    rec.outcome = "hit";
+    rec.full_fidelity = true;  // the cache only holds full fidelity
+    if (recorder_ != nullptr) {
+      rec.response_hash = key_hex(util::fnv1a64(*hit.payload));
+    }
+    send_frame(fd, FrameKind::kCompileResponse, *hit.payload);
+    finish();
+    return;
+  }
+  if (cache_.has_value()) {
     metrics_.add(ServerMetric::kCacheMisses);
     count_tenant(*t, TenantMetric::kCacheMisses);
   }
@@ -413,8 +426,9 @@ void Server::handle_compile(int fd, std::string_view payload) {
   finish();
 }
 
-std::optional<std::string> Server::cache_fetch(std::uint64_t key) {
-  if (hot_.has_value()) {
+std::optional<std::string> Server::cache_fetch(std::uint64_t key,
+                                               bool read_hot) {
+  if (hot_.has_value() && read_hot) {
     if (std::optional<std::string> hit = hot_->lookup(key)) return hit;
   }
   if (!cache_.has_value()) return std::nullopt;

@@ -262,9 +262,10 @@ class Server {
   void handle_compile(int fd, std::string_view payload);
   void handle_peer_lookup(int fd, std::string_view payload);
   void handle_peer_insert(int fd, std::string_view payload);
-  /// Tiered read: hot tier first, then the verified disk read (which
-  /// also warms the hot tier). nullopt when both miss or no cache.
-  [[nodiscard]] std::optional<std::string> cache_fetch(std::uint64_t key);
+  /// Tiered read: hot tier first (if `read_hot`), then the verified disk
+  /// read (which also warms the hot tier). nullopt: both miss/no cache.
+  [[nodiscard]] std::optional<std::string> cache_fetch(std::uint64_t key,
+                                                       bool read_hot = true);
   /// Tiered write: durable disk insert plus hot-tier population. False
   /// when the durable insert failed (counted; the hot tier is skipped —
   /// it must only hold what the disk tier vouches for).

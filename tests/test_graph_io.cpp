@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "graphs/cddat.h"
 #include "graphs/satellite.h"
@@ -72,6 +74,30 @@ TEST(GraphIo, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_graph_text("actor A\nedge A A 0 1\n"),
                std::invalid_argument);
+}
+
+// Bounded work: one hash probe per name keeps parse + write linear, so a
+// 100k-actor chain (about 3.5 MB of text) takes well under the bound. A
+// scan per name lookup made this quadratic: 20k actors took 1.35 s.
+TEST(GraphIo, HundredThousandActorChainParsesAndWritesInLinearTime) {
+  constexpr int kActors = 100000;
+  std::string text = "graph chain\n";
+  for (int i = 0; i < kActors; ++i) {
+    text += "actor a" + std::to_string(i) + "\n";
+  }
+  for (int i = 0; i + 1 < kActors; ++i) {
+    text += "edge a" + std::to_string(i) + " a" + std::to_string(i + 1) +
+            " 2 3\n";
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const Graph g = parse_graph_text(text);
+  const std::string written = write_graph_text(g);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(g.num_actors(), static_cast<std::size_t>(kActors));
+  EXPECT_EQ(written, text);  // canonical text round-trips byte for byte
+  EXPECT_LT(seconds, 2.0);
 }
 
 TEST(GraphIo, FileRoundTrip) {

@@ -1,6 +1,7 @@
 // Unit tests for the in-memory LRU hot tier (service/hot_tier.h):
-// eviction order, counter pins, the capacity contract, and hot-vs-disk
-// byte-identity through the server's fetch path.
+// eviction order, counter pins, the capacity contract, the attached
+// canonical text of the parse-free hit, and hot-vs-disk byte-identity
+// through the server's fetch path.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "service/cache.h"
 #include "service/hot_tier.h"
+#include "util/fault.h"
 
 namespace sdf::svc {
 namespace {
@@ -103,6 +105,100 @@ TEST(HotTier, ReinsertRefreshesRecencyWithoutRewriting) {
   tier.insert(3, payload_of(10, 'c'));
   EXPECT_TRUE(tier.lookup(1).has_value());
   EXPECT_FALSE(tier.lookup(2).has_value()) << "refresh did not update LRU";
+}
+
+// ------------------------------------------- attached canonical text
+
+TEST(HotTier, AttachedTextCountsInBytesAndTowardCapacity) {
+  HotTier tier(100);
+  tier.insert(1, payload_of(40, 'a'));
+  tier.attach_text(1, payload_of(20, 't'), 3);
+  EXPECT_EQ(tier.stats().bytes, 60);
+
+  tier.insert(2, payload_of(40, 'b'));  // 100: fits exactly
+  EXPECT_EQ(tier.stats().evictions, 0);
+  tier.insert(3, payload_of(1, 'c'));  // key 1 (LRU) goes, text and all
+  const HotTierStats s = tier.stats();
+  EXPECT_EQ(s.evictions, 1);
+  EXPECT_EQ(s.bytes, 41);
+  EXPECT_FALSE(tier.lookup(1).has_value());
+}
+
+TEST(HotTier, AttachEvictsOthersButNeverItsOwnEntry) {
+  HotTier tier(50);
+  tier.insert(1, payload_of(20, 'a'));
+  tier.insert(2, payload_of(20, 'b'));  // key 1 is now the LRU entry
+  tier.attach_text(1, payload_of(15, 't'), 1);
+  const HotTierStats s = tier.stats();
+  EXPECT_EQ(s.evictions, 1);
+  EXPECT_EQ(s.bytes, 35);
+  EXPECT_FALSE(tier.lookup(2).has_value());
+  EXPECT_TRUE(tier.lookup_text(1, payload_of(15, 't')).payload.has_value());
+}
+
+TEST(HotTier, EvictionAndEraseDropTheAttachedText) {
+  HotTier tier(1 << 20);
+  tier.insert(1, "doc");
+  tier.attach_text(1, "graph g\n", 1);
+  EXPECT_EQ(tier.stats().bytes, 3 + 8);
+  EXPECT_TRUE(tier.erase(1));
+  EXPECT_EQ(tier.stats().bytes, 0);
+
+  // Re-inserted, the entry starts without text again.
+  tier.insert(1, "doc");
+  EXPECT_EQ(tier.stats().bytes, 3);
+  EXPECT_FALSE(tier.lookup_text(1, "graph g\n").payload.has_value());
+}
+
+TEST(HotTier, TextThatWouldNotFitIsNotAttached) {
+  HotTier tier(30);
+  tier.insert(1, payload_of(20, 'a'));
+  tier.attach_text(1, payload_of(11, 't'), 1);  // 31 > 30
+  EXPECT_EQ(tier.stats().bytes, 20);
+  EXPECT_EQ(tier.stats().evictions, 0);
+  EXPECT_FALSE(tier.lookup_text(1, payload_of(11, 't')).payload.has_value());
+  EXPECT_TRUE(tier.lookup(1).has_value());  // the payload stays
+}
+
+TEST(HotTier, TextMismatchIsASilentMiss) {
+  HotTier tier(1 << 20);
+  tier.insert(1, "doc-one");
+  // No text attached yet: the probe reads nothing and counts nothing.
+  EXPECT_FALSE(tier.lookup_text(1, "graph g\n").payload.has_value());
+  tier.attach_text(1, "graph g\n", 2);
+  tier.attach_text(1, "graph other\n", 9);  // first text stays
+  EXPECT_FALSE(tier.lookup_text(1, "graph h\n").payload.has_value());
+  EXPECT_FALSE(tier.lookup_text(2, "graph g\n").payload.has_value());
+  HotTierStats s = tier.stats();
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.misses, 0);
+
+  const HotTier::TextHit hit = tier.lookup_text(1, "graph g\n");
+  ASSERT_TRUE(hit.payload.has_value());
+  EXPECT_EQ(*hit.payload, "doc-one");
+  EXPECT_EQ(hit.actors, 2);
+  EXPECT_FALSE(hit.unusable);
+  s = tier.stats();
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.misses, 0);
+}
+
+TEST(HotTier, InjectedReadFaultVoidsOnlyAMatchedProbe) {
+  HotTier tier(1 << 20);
+  tier.insert(1, "doc-one");
+  tier.attach_text(1, "graph g\n", 2);
+  fault::configure("svc_cache_read:1", 3);
+  // A mismatch reads nothing, so it cannot consume the fault.
+  EXPECT_FALSE(tier.lookup_text(1, "graph h\n").unusable);
+  EXPECT_EQ(fault::fire_count("svc_cache_read"), 0);
+  const HotTier::TextHit voided = tier.lookup_text(1, "graph g\n");
+  const std::int64_t fired = fault::fire_count("svc_cache_read");
+  fault::clear();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(voided.unusable);
+  EXPECT_FALSE(voided.payload.has_value());
+  EXPECT_EQ(tier.stats().misses, 1);  // counted like lookup()'s miss
+  EXPECT_TRUE(tier.lookup_text(1, "graph g\n").payload.has_value());
 }
 
 // Byte-identity across tiers: bytes that went to the durable disk cache

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/json_report.h"
 #include "sdf/diagnostics.h"
@@ -26,6 +28,7 @@
 #include "service/trace.h"
 #include "service/transport.h"
 #include "stats_doc.h"
+#include "util/fault.h"
 #include "util/hash.h"
 #include "util/shutdown.h"
 
@@ -895,6 +898,212 @@ TEST(Service, HotTierDisabledStillServesFromDisk) {
   EXPECT_EQ(hot.value(), cold.value());
   EXPECT_EQ(window_counter(stats_doc(*running.server), "service.cache.hits"),
             1);
+}
+
+// ------------------------------------------------- parse-free hot hit
+
+/// A server with a cache and (by default) a hot tier.
+ServerOptions cached_options(const Scratch& scratch) {
+  ServerOptions opts;
+  opts.socket_path = scratch.socket_path();
+  opts.cache_dir = scratch.cache_dir();
+  return opts;
+}
+
+/// Disarms fault injection however the test exits.
+struct FaultGuard {
+  ~FaultGuard() { fault::clear(); }
+};
+
+/// kTinyGraph with a comment and extra blanks: the same graph, but not
+/// the canonical text, so it always parses.
+constexpr std::string_view kTinyGraphLoose =
+    "# tiny, hand-written\ngraph tiny\nactor  A\nactor B\n"
+    "edge A   B 2 3\n";
+
+TEST(ParseFreeHit, CanonicalRepeatServesTheSlowHitsBytesAndCounts) {
+  Scratch scratch;
+  RunningServer running(cached_options(scratch));
+  Client client({scratch.socket_path(), 0});
+
+  // Miss, then a hit that parses (and attaches the text), then hits
+  // that skip the parse.
+  std::vector<std::string> responses;
+  for (int i = 0; i < 4; ++i) {
+    const Result<std::string> r = client.compile(tiny_request());
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    responses.push_back(r.value());
+  }
+  for (const std::string& r : responses) EXPECT_EQ(r, responses[0]);
+
+  // Every counter reads as if each repeat had parsed: the probes that
+  // found no attached text counted nothing.
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "requests").as_int(), 4);
+  EXPECT_EQ(window_counter(stats, "service.cache.hits"), 3);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 1);
+  EXPECT_EQ(field(stats, "cache.hits").as_int(), 3);
+  EXPECT_EQ(field(stats, "cache.misses").as_int(), 1);
+  EXPECT_EQ(field(stats, "cache.hot_hits").as_int(), 3);
+  EXPECT_EQ(field(stats, "cache.hot_misses").as_int(), 1);
+  EXPECT_EQ(field(stats, "tenants.public.requests").as_int(), 4);
+  EXPECT_EQ(field(stats, "tenants.public.cache_hits").as_int(), 3);
+  EXPECT_EQ(field(stats, "tenants.public.cache_misses").as_int(), 1);
+  // The resident entry holds the payload plus the canonical text.
+  EXPECT_EQ(field(stats, "cache.hot_bytes").as_int(),
+            static_cast<std::int64_t>(responses[0].size() +
+                                      kTinyGraph.size()));
+
+  // An armed parse fault proves which requests parse: the canonical
+  // repeat does not; the same graph written loosely does.
+  const FaultGuard guard;
+  fault::configure("parse_oom:1", 1);
+  const Result<std::string> fast = client.compile(tiny_request());
+  ASSERT_TRUE(fast.ok()) << fast.error().message;
+  EXPECT_EQ(fast.value(), responses[0]);
+  EXPECT_EQ(fault::fire_count("parse_oom"), 0);
+  CompileRequest loose = tiny_request();
+  loose.graph_text = std::string(kTinyGraphLoose);
+  EXPECT_FALSE(client.compile(loose).ok());
+  EXPECT_EQ(fault::fire_count("parse_oom"), 1);
+}
+
+TEST(ParseFreeHit, NonCanonicalTextStillHitsThroughTheParse) {
+  Scratch scratch;
+  RunningServer running(cached_options(scratch));
+  Client client({scratch.socket_path(), 0});
+  CompileRequest loose = tiny_request();
+  loose.graph_text = std::string(kTinyGraphLoose);
+
+  const Result<std::string> cold = client.compile(tiny_request());
+  ASSERT_TRUE(cold.ok());
+  for (int i = 0; i < 3; ++i) {
+    const Result<std::string> hit = client.compile(loose);
+    ASSERT_TRUE(hit.ok()) << hit.error().message;
+    EXPECT_EQ(hit.value(), cold.value());
+  }
+  const Result<std::string> canonical = client.compile(tiny_request());
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_EQ(canonical.value(), cold.value());
+
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(window_counter(stats, "service.cache.hits"), 4);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 1);
+}
+
+TEST(ParseFreeHit, SameTextWithOtherOptionsMisses) {
+  Scratch scratch;
+  RunningServer running(cached_options(scratch));
+  Client client({scratch.socket_path(), 0});
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.compile(tiny_request()).ok());
+
+  CompileRequest other = tiny_request();
+  other.dp_mem_bytes = 1 << 30;  // a different option fingerprint
+  const Result<std::string> r = client.compile(other);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(window_counter(stats, "service.cache.hits"), 2);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 2);
+}
+
+TEST(ParseFreeHit, ScrubberQuarantineStopsTheFastHit) {
+  Scratch scratch;
+  ServerOptions opts = cached_options(scratch);
+  opts.scrub_interval_ms = 20;
+  RunningServer running(opts);
+  Client client({scratch.socket_path(), 0});
+  std::string cold;
+  for (int i = 0; i < 3; ++i) {
+    const Result<std::string> r = client.compile(tiny_request());
+    ASSERT_TRUE(r.ok());
+    cold = r.value();
+  }
+
+  // Rot the one disk object; the scrubber quarantines it and drops the
+  // hot entry, attached text included.
+  const std::string hex =
+      field(obs::Json::parse(cold), "request.key").as_string();
+  {
+    std::ofstream out(scratch.cache_dir() + "/objects/" + hex + ".json",
+                      std::ios::trunc);
+    out << "CORRUPT";
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (field(stats_doc(*running.server), "cache.hot_entries").as_int() >
+             0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const obs::Json quarantined = stats_doc(*running.server);
+  ASSERT_EQ(field(quarantined, "cache.hot_entries").as_int(), 0);
+  EXPECT_EQ(field(quarantined, "cache.hot_bytes").as_int(), 0);
+
+  // The canonical repeat no longer fast-hits: it recompiles, byte for
+  // byte the same.
+  const Result<std::string> again = client.compile(tiny_request());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), cold);
+  EXPECT_EQ(window_counter(stats_doc(*running.server), "service.cache.misses"),
+            2);
+}
+
+TEST(ParseFreeHit, CacheReadFaultDegradesTheFastHitLikeALookup) {
+  Scratch scratch;
+  RunningServer running(cached_options(scratch));
+  Client client({scratch.socket_path(), 0});
+  std::string cold;
+  for (int i = 0; i < 2; ++i) {
+    const Result<std::string> r = client.compile(tiny_request());
+    ASSERT_TRUE(r.ok());
+    cold = r.value();
+  }
+
+  // The fault voids the matched hot copy: one hot miss, then the
+  // verified disk read serves the same bytes, as for a plain lookup.
+  const FaultGuard guard;
+  fault::configure("svc_cache_read:1", 7);
+  const Result<std::string> degraded = client.compile(tiny_request());
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_EQ(degraded.value(), cold);
+  EXPECT_EQ(fault::fire_count("svc_cache_read"), 1);
+
+  const obs::Json stats = stats_doc(*running.server);
+  EXPECT_EQ(field(stats, "cache.hot_hits").as_int(), 1);
+  EXPECT_EQ(field(stats, "cache.hot_misses").as_int(), 2);
+  EXPECT_EQ(field(stats, "cache.hits").as_int(), 2);  // 1 hot + 1 disk
+  EXPECT_EQ(window_counter(stats, "service.cache.hits"), 2);
+  EXPECT_EQ(window_counter(stats, "service.cache.misses"), 1);
+}
+
+TEST(ParseFreeHit, TraceLinesOfFastAndSlowHitsAgree) {
+  Scratch scratch;
+  const std::string trace_path = scratch.dir + "/requests.trace";
+  {
+    ServerOptions opts = cached_options(scratch);
+    opts.record_path = trace_path;
+    RunningServer running(opts);
+    Client client({scratch.socket_path(), 0});
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(client.compile(tiny_request()).ok());
+    }
+  }  // stop() drains before the journal handle closes
+
+  const Trace trace = read_trace(trace_path);
+  ASSERT_EQ(trace.records.size(), 3u);
+  const TraceRecord& miss = trace.records[0];
+  const TraceRecord& slow = trace.records[1];
+  const TraceRecord& fast = trace.records[2];
+  EXPECT_EQ(slow.outcome, "hit");
+  EXPECT_EQ(fast.outcome, "hit");
+  for (const TraceRecord* hit : {&slow, &fast}) {
+    EXPECT_EQ(hit->key_hex, miss.key_hex);
+    EXPECT_EQ(hit->actors, 2);
+    EXPECT_EQ(hit->response_hash, miss.response_hash);
+    EXPECT_TRUE(hit->full_fidelity);
+    EXPECT_EQ(hit->wall_ns, 0);
+  }
 }
 
 // --------------------------------------------------- adaptive control
